@@ -125,6 +125,9 @@ func run(o runOpts) (int, error) {
 	default:
 		return exitError, fmt.Errorf("unknown engine %q", o.engine)
 	}
+	if o.useSA && o.autoII > 0 {
+		return exitError, fmt.Errorf("-auto-ii requires an exact engine (a heuristic cannot prove an II minimal)")
+	}
 
 	if o.lpOut != "" {
 		model, reason, err := mapper.BuildModel(g, mg, opts)
@@ -169,9 +172,6 @@ func run(o runOpts) (int, error) {
 	}
 
 	if o.autoII > 0 {
-		if o.useSA {
-			return exitError, fmt.Errorf("-auto-ii requires an exact engine (a heuristic cannot prove an II minimal)")
-		}
 		return runAutoII(ctx, g, a, o, opts)
 	}
 
@@ -214,8 +214,7 @@ func run(o runOpts) (int, error) {
 }
 
 // runAutoII sweeps the II ladder for the provably smallest initiation
-// interval, sequentially or speculatively (and, with -incremental,
-// through one incremental CDCL session per lane).
+// interval, sequentially or speculatively.
 func runAutoII(ctx context.Context, g *dfg.Graph, a *arch.Arch, o runOpts, opts mapper.Options) (int, error) {
 	if o.engine == "portfolio" {
 		// Exact engines only inside the ladder: a heuristic miss at some

@@ -95,6 +95,17 @@ func TestRunSolveSmall(t *testing.T) {
 	}
 }
 
+// TestRunAnnealRejectsAutoII: a heuristic cannot prove an II minimal, so
+// -anneal with -auto-ii is a usage error, not an annealing run at the
+// -contexts count.
+func TestRunAnnealRejectsAutoII(t *testing.T) {
+	code, err := run(runOpts{benchName: "2x2-f", rows: 2, cols: 2, contexts: 2, diagonal: true, useSA: true, autoII: 4,
+		objective: "feasibility", engine: "cdcl", fallback: true, timeout: time.Minute, quiet: true})
+	if err == nil || code != exitError || !strings.Contains(err.Error(), "-auto-ii requires an exact engine") {
+		t.Errorf("-anneal -auto-ii: code %d, err %v; want exit %d with the exact-engine error", code, err, exitError)
+	}
+}
+
 func TestRunSolvePortfolio(t *testing.T) {
 	code, err := run(runOpts{benchName: "2x2-f", rows: 2, cols: 2, contexts: 2, diagonal: true,
 		objective: "feasibility", engine: "portfolio", fallback: true, knobs: mapper.Flags{Workers: 2, Seed: 7},

@@ -82,7 +82,6 @@ func main() {
 		DegradedDeadline:     *degradedBy,
 		SolveWorkers:         mOpts.Workers,
 		Seed:                 mOpts.Seed,
-		Incremental:          mOpts.Incremental,
 		Symmetry:             mOpts.Symmetry,
 		Logf:                 logger.Printf,
 	}
@@ -114,7 +113,12 @@ func serve(ctx context.Context, addr string, opts service.Options, drainTimeout 
 	if mw != nil {
 		handler = mw(handler)
 	}
-	httpSrv := &http.Server{Handler: handler}
+	// ReadHeaderTimeout closes connections that never send a request.
+	// Besides slow-header clients, it covers connections a client dialed
+	// and then left unused in its pool: http.Server.Shutdown only treats
+	// those as idle once they are 5 s old, which would use up the whole
+	// HTTP shutdown budget below.
+	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: 2 * time.Second}
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()

@@ -138,34 +138,13 @@ func RunSweep(ctx context.Context, opts SweepOptions) (*Sweep, error) {
 // should cost one "T", not the run), so panics and mapper errors are
 // contained into an Unknown cell with the failure recorded as its
 // Reason. Only a cancelled sweep context aborts the grid.
-func runCell(ctx context.Context, g *dfg.Graph, mg *mrrg.Graph, archName string, opts SweepOptions) (cell Cell, err error) {
-	cellCtx, cancel := context.WithTimeout(ctx, opts.Timeout)
-	defer cancel()
-	start := time.Now()
-	cell = Cell{Benchmark: g.Name, Arch: archName}
-	defer func() {
-		cell.Elapsed = time.Since(start)
-		if r := recover(); r != nil {
-			cell.Status = ilp.Unknown
-			cell.Reason = fmt.Sprintf("mapper panicked: %v", r)
-			err = nil
-		}
-	}()
-	res, mapErr := mapper.Map(cellCtx, g, mg, opts.Mapper)
-	if mapErr != nil {
-		if ctx.Err() != nil {
-			return Cell{}, fmt.Errorf("exper: %s on %s: %w", g.Name, archName, mapErr)
-		}
-		cell.Status = ilp.Unknown
-		cell.Reason = fmt.Sprintf("mapper failed: %v", mapErr)
-		return cell, nil
+func runCell(ctx context.Context, g *dfg.Graph, mg *mrrg.Graph, archName string, opts SweepOptions) (Cell, error) {
+	res, elapsed, err := mapper.MapContained(ctx, g, mg, opts.Mapper, opts.Timeout)
+	if err != nil {
+		return Cell{}, fmt.Errorf("exper: %s on %s: %w", g.Name, archName, err)
 	}
-	cell.Status = res.Status
-	cell.SolveTime = res.SolveTime
-	cell.Vars = res.Vars
-	cell.Consts = res.Constraints
-	cell.Reason = res.Reason
-	return cell, nil
+	return Cell{Benchmark: g.Name, Arch: archName, Status: res.Status, Reason: res.Reason,
+		SolveTime: res.SolveTime, Elapsed: elapsed, Vars: res.Vars, Consts: res.Constraints}, nil
 }
 
 // RenderTable2 prints the sweep in the paper's Table 2 layout.

@@ -151,27 +151,6 @@ func (m *Model) BinaryComposite(prefix, a, b string, k int) Var {
 // NumVars returns the number of variables.
 func (m *Model) NumVars() int { return len(m.names) }
 
-// VarKey is a variable's structural identity: the unformatted parts of
-// its diagnostic name, comparable and hashable. Successive models of one
-// instance family (the II ladder, an architecture sweep) name the same
-// decision identically — "F[op,fu@ctx]" denotes the same
-// placement at every II — so incremental solvers use VarKey to unify
-// variables across models and carry learnt state between solves.
-type VarKey struct {
-	Prefix, A, B string
-	K            int32
-}
-
-// VarKey returns the structural key of v. Keys are only unique when the
-// model's variable names are; the mapping formulation guarantees this.
-func (m *Model) VarKey(v Var) VarKey {
-	if int(v) < 0 || int(v) >= len(m.names) {
-		return VarKey{Prefix: fmt.Sprintf("x%d", int(v)), K: -1}
-	}
-	n := m.names[v]
-	return VarKey{Prefix: n.prefix, A: n.a, B: n.b, K: n.k}
-}
-
 // VarName returns the diagnostic name of v.
 func (m *Model) VarName(v Var) string {
 	if int(v) < 0 || int(v) >= len(m.names) {

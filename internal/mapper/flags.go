@@ -19,9 +19,6 @@ type Flags struct {
 	Workers int
 	// Seed is the base solver seed (0 = engine defaults).
 	Seed int64
-	// Incremental threads incremental CDCL sessions through related
-	// solves.
-	Incremental bool
 	// Symmetry is a SymmetryMode name ("" = auto).
 	Symmetry string
 	// ArtifactCache is the artifact cache size in entries per class
@@ -51,11 +48,9 @@ func (f *Flags) Register(fs *flag.FlagSet, workersName, seedName string) {
 	fs.StringVar(&f.Symmetry, "symmetry", f.Symmetry, "symmetry-breaking constraints from verified fabric automorphisms: auto (on for auto-II ladders, off at a fixed II) | on | off; same answer either way")
 }
 
-// RegisterReuse defines -incremental and -artifact-cache on fs, the
-// knobs that carry work from one solve to related ones, defaulting to
-// f's current values.
+// RegisterReuse defines -artifact-cache on fs, the knob that carries work
+// from one solve to related ones, defaulting to f's current value.
 func (f *Flags) RegisterReuse(fs *flag.FlagSet) {
-	fs.BoolVar(&f.Incremental, "incremental", f.Incremental, "thread one incremental CDCL session through related solves: auto-II ladders, frontier bisections, portfolio retries (same answer, usually faster)")
 	fs.IntVar(&f.ArtifactCache, "artifact-cache", f.ArtifactCache, "artifact cache entries per class (MRRGs and formulation templates reused across solves; <= 0 disables)")
 }
 
@@ -73,7 +68,7 @@ func (f *Flags) Options() (Options, error) {
 	if f.Workers > 0 {
 		budget.SetGlobal(f.Workers)
 	}
-	o := Options{Workers: budget.Global().Size(), Seed: f.Seed, Incremental: f.Incremental, Symmetry: sym}
+	o := Options{Workers: budget.Global().Size(), Seed: f.Seed, Symmetry: sym}
 	if f.ArtifactCache > 0 {
 		o.Artifacts = NewArtifactCache(f.ArtifactCache)
 	}

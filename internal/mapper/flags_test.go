@@ -28,16 +28,16 @@ func TestFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Workers != 1 || o.Seed != 0 || o.Incremental || o.Symmetry != SymmetryAuto || o.Artifacts == nil {
+	if o.Workers != 1 || o.Seed != 0 || o.Symmetry != SymmetryAuto || o.Artifacts == nil {
 		t.Errorf("defaults: %+v", o)
 	}
 
 	o, err = parse(&Flags{}, "solve-workers", "solver-seed",
-		"-solve-workers", "3", "-solver-seed", "9", "-incremental", "-symmetry", "off", "-artifact-cache", "0")
+		"-solve-workers", "3", "-solver-seed", "9", "-symmetry", "off", "-artifact-cache", "0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Workers != 3 || o.Seed != 9 || !o.Incremental || o.Symmetry != SymmetryOff || o.Artifacts != nil {
+	if o.Workers != 3 || o.Seed != 9 || o.Symmetry != SymmetryOff || o.Artifacts != nil {
 		t.Errorf("renamed flags: %+v", o)
 	}
 	if got := budget.Global().Size(); got != 3 {
@@ -51,29 +51,14 @@ func TestFlags(t *testing.T) {
 		t.Error("unknown symmetry mode accepted")
 	}
 
-	// Register alone leaves the reuse knobs at their field values.
+	// Register alone leaves the reuse knob at its field value.
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	f := Flags{Workers: 1}
 	f.Register(fs, "", "")
-	if fs.Lookup("incremental") != nil || fs.Lookup("artifact-cache") != nil {
+	if fs.Lookup("artifact-cache") != nil {
 		t.Error("Register defined a reuse flag")
 	}
-	if o, err := f.Options(); err != nil || o.Incremental || o.Artifacts != nil {
-		t.Errorf("unregistered reuse knobs: %+v, %v", o, err)
-	}
-}
-
-// TestWithSession: a caller-supplied solver or orchestrator wins over
-// Incremental, and eligible options get a fresh session each call.
-func TestWithSession(t *testing.T) {
-	if o := (Options{}).WithSession(); o.Solver != nil {
-		t.Error("session without Incremental")
-	}
-	a, b := Options{Incremental: true}.WithSession(), Options{Incremental: true}.WithSession()
-	if a.Solver == nil || a.Solver == b.Solver {
-		t.Error("eligible options did not get a fresh session each call")
-	}
-	if o := (Options{Incremental: true, Solver: a.Solver}).WithSession(); o.Solver != a.Solver {
-		t.Error("caller's solver replaced")
+	if o, err := f.Options(); err != nil || o.Artifacts != nil {
+		t.Errorf("unregistered reuse knob: %+v, %v", o, err)
 	}
 }

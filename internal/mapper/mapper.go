@@ -30,9 +30,9 @@ const (
 // and frontier sweeps, the job service and the command-line tools (see
 // Flags) — passes the speed knobs in.
 //
-// The speed knobs are Workers, Seed, Incremental, Symmetry, Budget and
-// Artifacts. They change how fast an answer arrives, never what it is:
-// feasibility status, minimal II and optimal objective are the same for
+// The speed knobs are Workers, Seed, Symmetry, Budget and Artifacts.
+// They change how fast an answer arrives, never what it is: feasibility
+// status, minimal II and optimal objective are the same for
 // every setting. That is the fingerprint-exemption rule: job fingerprints
 // and result caches key on the instance, the engine and Objective only.
 type Options struct {
@@ -56,14 +56,6 @@ type Options struct {
 	// Seed fixes the solver's search trajectory (and derives the
 	// diversified trajectories of a parallel gang).
 	Seed int64
-	// Incremental makes drivers of related solves — the MapAuto II
-	// ladder, a frontier bisection, the portfolio's retries — thread one
-	// assumption-based incremental CDCL session through them (see
-	// WithSession): constraints shared between successive formulations
-	// keep their learnt clauses, and placement variables warm-start from
-	// the previous solve's trajectory. Ignored when Solver or MapWith is
-	// set.
-	Incremental bool
 	// Symmetry controls symmetry-breaking constraints: verified fabric
 	// automorphisms (arch.Discover) become lex-leader and orbit-fixing
 	// constraints, and interchangeable commutative operands are ordered
@@ -109,26 +101,6 @@ func (o Options) engine() ilp.Solver {
 		return cdcl.NewSeeded(o.Seed)
 	}
 	return cdcl.New()
-}
-
-// incrementalEligible reports whether drivers of related solves should
-// thread an incremental session: the caller asked for it and supplied
-// neither its own solver nor an orchestrator.
-func incrementalEligible(o Options) bool {
-	return o.Incremental && o.Solver == nil && o.MapWith == nil
-}
-
-// WithSession returns o with a fresh incremental CDCL session, seeded
-// with o.Seed, as its Solver when Incremental asks for one and neither
-// Solver nor MapWith overrides the engine; otherwise o unchanged. A
-// driver of related solves calls it once and reuses the result, so the
-// session carries what it learns from solve to solve. A session is not
-// safe for concurrent use: concurrent lanes each need their own.
-func (o Options) WithSession() Options {
-	if incrementalEligible(o) {
-		o.Solver = cdcl.NewSession(o.Seed)
-	}
-	return o
 }
 
 // MapFunc is the signature of Map. Orchestrators provide drop-in
@@ -227,6 +199,29 @@ func Map(ctx context.Context, g *dfg.Graph, mg *mrrg.Graph, opts Options) (*Resu
 	}
 	res.Mapping = m
 	return res, nil
+}
+
+// MapContained runs Map under a per-call timeout for the sweeps, where
+// one crashing or erroring instance must cost one undecided cell, not the
+// whole run. A panic, or an error while ctx is still live, comes back as
+// an Unknown result whose Reason records it ("mapper panicked: ..." or
+// "mapper failed: ..."). Errors after ctx has ended are returned, so a
+// cancelled sweep still aborts. elapsed is the call's wall clock.
+func MapContained(ctx context.Context, g *dfg.Graph, mg *mrrg.Graph, opts Options, timeout time.Duration) (res *Result, elapsed time.Duration, err error) {
+	callCtx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	start := time.Now()
+	defer func() {
+		elapsed = time.Since(start)
+		if r := recover(); r != nil {
+			res, err = &Result{Status: ilp.Unknown, Reason: fmt.Sprintf("mapper panicked: %v", r)}, nil
+		}
+	}()
+	res, err = Map(callCtx, g, mg, opts)
+	if err != nil && ctx.Err() == nil {
+		return &Result{Status: ilp.Unknown, Reason: fmt.Sprintf("mapper failed: %v", err)}, 0, nil
+	}
+	return res, 0, err
 }
 
 // decode converts a satisfying assignment into a Mapping.

@@ -304,9 +304,7 @@ func (s *stamper) addValueSwap(a, b int) {
 //	e_i  <-> e_{i-1} and x_i == y_i     (e_{-1} = true)
 //	e_{i-1} -> x_{i+1} <= y_{i+1}
 //
-// Aux variables are named by (group, generator, slot), so identical
-// slots across the II ladder produce identical ilp.VarKeys and an
-// incremental session unifies them like any formulation variable.
+// Aux variables are named by (group, generator, slot).
 func (s *stamper) addLexChain(group, gen string, pos []lexPosition) {
 	if len(pos) == 0 {
 		return

@@ -133,8 +133,7 @@ func TestSymmetryConstraintGroups(t *testing.T) {
 				i, off.VarName(ilp.Var(i)), on.VarName(ilp.Var(i)))
 		}
 	}
-	// Aux tail uses the stable "SE" composite prefix for cross-II VarKey
-	// unification.
+	// Aux tail uses the "SE" composite prefix.
 	sawAux := false
 	for i := off.NumVars(); i < on.NumVars(); i++ {
 		if strings.HasPrefix(on.VarName(ilp.Var(i)), "SE[") {
@@ -227,6 +226,9 @@ func TestMapSymmetryOn(t *testing.T) {
 	}
 }
 
+// equivKernels is the fast subset checked on every `go test` run.
+var equivKernels = []string{"accum", "mac", "2x2-f", "2x2-p", "mult_10", "exp_4"}
+
 // TestMapAutoSymmetryEquivalence is the contract symmetry breaking lives
 // by: for every kernel, MapAuto with symmetry on must report the same
 // minimal II and per-II status trajectory as with it off. Breaking
@@ -283,40 +285,5 @@ func TestMapAutoSymmetryEquivalence(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestMapAutoSymmetryIncremental composes symmetry breaking with the
-// incremental session: the lex aux variables carry stable VarKeys across
-// IIs, so the ladder must reuse constraints and still land on the same
-// proven minimal II. mac on the homogeneous 3x3 grid is the smallest
-// genuine two-rung ladder (II=1 solver-proven infeasible, II=2 maps).
-func TestMapAutoSymmetryIncremental(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
-	defer cancel()
-	a, err := arch.Grid(arch.GridSpec{Rows: 3, Cols: 3, Interconnect: arch.Diagonal,
-		Homogeneous: true, Contexts: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := MapAuto(ctx, bench.MustGet("mac"), a, 4,
-		Options{Seed: 1, Incremental: true, Symmetry: SymmetryOn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Feasible() || res.II != 2 {
-		t.Fatalf("II=%d status=%v, want feasible at II=2", res.II, res.Status)
-	}
-	if len(res.Tried) != 2 || res.Tried[0] != ilp.Infeasible {
-		t.Fatalf("tried %v, want [infeasible optimal-or-feasible]", res.Tried)
-	}
-	if err := res.Mapping.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if res.SolverStats["incremental"] != 1 {
-		t.Fatalf("final solve not incremental (stats %v)", res.SolverStats)
-	}
-	if res.SolverStats["cons_reused"] == 0 {
-		t.Fatalf("no constraints reused across the ladder (stats %v)", res.SolverStats)
 	}
 }

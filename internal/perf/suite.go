@@ -182,14 +182,10 @@ func suite() []seriesSpec {
 		// Workers=1 file against a Workers=4 file measures the
 		// speculative sweep + gang speedup end to end.
 		mapAutoSpec(),
-		// The incremental/scratch twin pair runs the same auto-II ladder
-		// sequentially (Workers=1, fixed seed) with and without session
-		// reuse, so one result file carries the incremental speedup and
-		// CI can gate on its allocation profile: the sequential seeded
-		// ladder is deterministic, and the gate diffs allocs, not the
-		// restart-noisy wall clock.
-		mapAutoLadderSpec("mapauto/incremental", true),
-		mapAutoLadderSpec("mapauto/scratch", false),
+		// The sequential seeded auto-II ladder: deterministic, so CI can
+		// gate on its allocation profile rather than the restart-noisy
+		// wall clock.
+		mapAutoScratchSpec(),
 		// The symmetry twin pair measures what lex-leader symmetry
 		// breaking buys on a proving-dominated ladder: mac on the
 		// homogeneous 3x3 grid must *prove* II=1 infeasible before
@@ -349,23 +345,20 @@ func mapAutoSpec() seriesSpec {
 	}
 }
 
-// mapAutoLadderSpec builds one half of the incremental/scratch twin
-// pair: the mult_10 auto-II sweep on the heterogeneous grid (the
-// MII-gated flagship the plain mapauto series also runs), solved
-// sequentially (Workers=1, Seed=1) so both halves walk the exact same
-// sweep and differ only in the engine: a fresh scratch solver per II
-// versus one incremental session whose probing, learnt clauses and
-// warm-started phases persist across the sweep. Gated on the short
-// tier: sequential seeded solves are allocation-deterministic.
+// mapAutoScratchSpec is the mult_10 auto-II sweep on the heterogeneous
+// grid (the MII-gated flagship the plain mapauto series also runs),
+// solved sequentially (Workers=1, Seed=1) with a fresh solver per II.
+// Gated on the short tier: sequential seeded solves are
+// allocation-deterministic.
 //
-// Symmetry is pinned off so the pair keeps isolating the session-reuse
-// variable: MapAuto's auto mode now adds lex-leader constraints, and on
-// this single-rung SAT ladder they shift the seeded search trajectory
-// (see mapauto/{sym,nosym} for the series that measures symmetry).
-func mapAutoLadderSpec(name string, incremental bool) seriesSpec {
+// Symmetry is pinned off so the series stays comparable with committed
+// results from before MapAuto's auto mode added lex-leader constraints,
+// which shift the seeded trajectory on this single-rung SAT ladder (see
+// mapauto/{sym,nosym} for the series that measures symmetry).
+func mapAutoScratchSpec() seriesSpec {
 	gs := arch.GridSpec{Rows: 4, Cols: 4, Interconnect: arch.Diagonal, Homogeneous: false, Contexts: 1}
 	return seriesSpec{
-		name:      name,
+		name:      "mapauto/scratch",
 		gated:     true,
 		shortTier: true,
 		setup: func(opts SuiteOptions) (op, error) {
@@ -381,7 +374,7 @@ func mapAutoLadderSpec(name string, incremental bool) seriesSpec {
 			if solveBudget <= 0 {
 				solveBudget = 30 * time.Second
 			}
-			mopts := mapper.Options{Workers: 1, Seed: 1, Incremental: incremental,
+			mopts := mapper.Options{Workers: 1, Seed: 1,
 				Symmetry: mapper.SymmetryOff, Budget: budget.New(1)}
 			return func() (map[string]int64, error) {
 				ctx, cancel := context.WithTimeout(context.Background(), solveBudget)
@@ -404,8 +397,8 @@ func mapAutoLadderSpec(name string, incremental bool) seriesSpec {
 // infeasible and must be proven so; II=2 is optimal), solved
 // sequentially with a fixed seed so the halves walk identical sweeps
 // and differ only in whether the template carries lex-leader symmetry
-// constraints. Gated on the short tier: like the incremental twins,
-// the sequential seeded ladder is allocation-deterministic, and the
+// constraints. Gated on the short tier: like mapauto/scratch, the
+// sequential seeded ladder is allocation-deterministic, and the
 // gate diffs allocs rather than the restart-noisy wall clock.
 func symmetryTwinSpec(name string, sym mapper.SymmetryMode) seriesSpec {
 	gs := arch.GridSpec{Rows: 3, Cols: 3, Interconnect: arch.Diagonal, Homogeneous: true, Contexts: 1}

@@ -72,11 +72,7 @@ type Options struct {
 	// reseed (0 selects 1); Mapper.Workers > 1 adds a clause-sharing
 	// parallel CDCL gang of that width ("cdcl-par"), whose extra workers
 	// pay tokens from Mapper.Budget so the strategy narrows rather than
-	// oversubscribes a busy machine; Mapper.Incremental adds an
-	// incremental CDCL strategy ("cdcl-inc") that keeps one cdcl.Session
-	// across its attempts, so a retry after a timeout resumes with every
-	// clause the failed attempt learnt (the session's poisoning guard
-	// keeps this safe when an attempt panics and is contained).
+	// oversubscribes a busy machine.
 	Mapper mapper.Options
 	// WrapSolver, when non-nil, decorates each exact strategy's engine
 	// before use — the seam the fault-injection harness plugs into.
@@ -216,12 +212,6 @@ func strategies(g *dfg.Graph, mg *mrrg.Graph, opts Options) []strategy {
 			pe.Budget = mo.Budget
 			return pe
 		}))
-	}
-	if mo.Incremental {
-		// One session for every attempt of this strategy: retries keep
-		// the learnt clauses of the attempts that timed out.
-		sess := cdcl.NewSession(deriveSeed(seed, len(sts), 0))
-		sts = append(sts, exact("cdcl-inc", func(int) ilp.Solver { return sess }))
 	}
 	if !opts.DisableBB {
 		sts = append(sts, exact("bb", func(int) ilp.Solver { return bb.New() }))

@@ -88,15 +88,9 @@ type JobRequest struct {
 	AutoII int `json:"auto_ii,omitempty"`
 	// Engine selects cdcl (default), bb, portfolio, or anneal.
 	Engine string `json:"engine,omitempty"`
-	// Incremental solves an auto-II job through an assumption-based
-	// incremental CDCL session (the solver carries learnt clauses up the
-	// II ladder), and adds the incremental strategy to a portfolio race.
-	// Purely a speed knob: the answer is unchanged.
-	Incremental bool `json:"incremental,omitempty"`
 	// Symmetry controls symmetry-breaking constraints: "auto" (default:
 	// on for auto-II ladders, off at a fixed context count), "on" or
-	// "off". Like Incremental it is purely a speed knob — the answer is
-	// unchanged.
+	// "off". It is purely a speed knob — the answer is unchanged.
 	Symmetry string `json:"symmetry,omitempty"`
 	// Objective is "feasibility" (default) or "routing".
 	Objective string `json:"objective,omitempty"`
@@ -112,10 +106,9 @@ type JobSpec struct {
 	AutoII   int
 	Deadline time.Duration
 	// Mapper is what the job's solves run with: the request's objective,
-	// the server's speed knobs (SolveWorkers, Seed, Incremental,
-	// Symmetry) with the request's incremental and symmetry choices
-	// applied, and the server-wide artifact cache (nil when disabled).
-	// Of its fields only Objective enters the fingerprint; the speed
+	// the server's speed knobs (SolveWorkers, Seed, Symmetry) with the
+	// request's symmetry choice applied, and the server-wide artifact
+	// cache (nil when disabled). Of its fields only Objective enters the fingerprint; the speed
 	// knobs are exempt (see mapper.Options).
 	Mapper mapper.Options
 	// Fingerprint is the canonical content-address of this job (see
@@ -251,10 +244,6 @@ type Options struct {
 	// Seed is every job's base solver seed (JobSpec.Mapper.Seed; 0
 	// keeps the engines' defaults).
 	Seed int64
-	// Incremental turns on incremental CDCL sessions for every job
-	// (JobSpec.Mapper.Incremental); a request can also opt in, and
-	// either side opting in enables it.
-	Incremental bool
 	// Symmetry is the symmetry-breaking mode of jobs that submit "auto"
 	// or nothing (JobSpec.Mapper.Symmetry); a request's explicit
 	// "on"/"off" wins.
@@ -537,7 +526,7 @@ func (s *Server) ParseRequest(req *JobRequest) (*JobSpec, error) {
 		symmetry = s.opts.Symmetry
 	}
 	mo := mapper.Options{Objective: objective, Workers: s.opts.SolveWorkers, Seed: s.opts.Seed,
-		Incremental: s.opts.Incremental || req.Incremental, Symmetry: symmetry, Artifacts: s.artifacts}
+		Symmetry: symmetry, Artifacts: s.artifacts}
 
 	deadline := s.opts.DefaultDeadline
 	if req.DeadlineMS > 0 {
@@ -812,36 +801,9 @@ func (s *Server) worker() {
 
 // runExec performs one solve and completes every attached job.
 func (s *Server) runExec(ex *exec) {
-	s.mu.Lock()
-	if len(ex.jobs) == 0 {
-		// Every submission was cancelled while queued. Cancel already
-		// removed the inflight entry, and a later Submit may have
-		// installed a fresh exec under the same fingerprint — only
-		// remove the entry if it is still ours.
-		if s.inflight[ex.fp] == ex {
-			delete(s.inflight, ex.fp)
-		}
-		s.mu.Unlock()
-		ex.cancel()
+	if !s.begin(ex, "deadline exceeded while queued") {
 		return
 	}
-	now := time.Now()
-	for _, j := range ex.jobs {
-		j.state = JobRunning
-		j.started = now
-	}
-	s.mu.Unlock()
-
-	// The deadline is absolute from submission; a job whose deadline
-	// expired while it queued is failed without burning a solve slot
-	// (the admission estimator tries to shed these up front, but it is
-	// an estimate, not a guarantee).
-	if !ex.deadline.After(now) {
-		s.Metrics.DeadlineExceeded.Add(1)
-		s.failExec(ex, "deadline exceeded while queued")
-		return
-	}
-
 	s.Metrics.WorkersBusy.Add(1)
 	ctx, cancel := context.WithDeadline(ex.ctx, ex.deadline)
 	if s.opts.JobTimeout > 0 {
@@ -865,12 +827,51 @@ func (s *Server) runExec(ex *exec) {
 		s.opts.Logf("service: job %s (%s on %s) failed: %v",
 			ex.fp[:8], ex.spec.DFG.Name, ex.spec.Arch.Name, err)
 	}
+	s.complete(ex, res, err)
+}
 
+// begin marks every job attached to ex running. It returns false when
+// there is nothing left to solve: every submission was cancelled while
+// queued (ex is released), or ex's deadline, which is absolute from
+// submission, expired while it queued (its jobs fail with expired,
+// without burning a solve slot — the admission estimator tries to shed
+// these up front, but it is an estimate, not a guarantee).
+func (s *Server) begin(ex *exec, expired string) bool {
+	s.mu.Lock()
+	if len(ex.jobs) == 0 {
+		// Cancel already removed the inflight entry, and a later Submit
+		// may have installed a fresh exec under the same fingerprint —
+		// only remove the entry if it is still ours.
+		if s.inflight[ex.fp] == ex {
+			delete(s.inflight, ex.fp)
+		}
+		s.mu.Unlock()
+		ex.cancel()
+		return false
+	}
+	now := time.Now()
+	for _, j := range ex.jobs {
+		j.state = JobRunning
+		j.started = now
+	}
+	s.mu.Unlock()
+	if !ex.deadline.After(now) {
+		s.Metrics.DeadlineExceeded.Add(1)
+		s.complete(ex, nil, errors.New(expired))
+		return false
+	}
+	return true
+}
+
+// complete finishes every job attached to ex — failed with err, or done
+// with res — and releases ex. A definitive, non-degraded result enters
+// the cache.
+func (s *Server) complete(ex *exec, res *JobResult, err error) {
 	s.mu.Lock()
 	if s.inflight[ex.fp] == ex {
 		delete(s.inflight, ex.fp)
 	}
-	now = time.Now()
+	now := time.Now()
 	for _, j := range ex.jobs {
 		j.finished = now
 		if err != nil {
@@ -883,27 +884,8 @@ func (s *Server) runExec(ex *exec) {
 		s.Metrics.IncCompleted(j.state)
 		close(j.done)
 	}
-	cacheable := err == nil && res.Status != ilp.Unknown && len(ex.jobs) > 0
-	if cacheable {
+	if err == nil && res != nil && !res.Degraded && res.Status != ilp.Unknown && len(ex.jobs) > 0 {
 		s.cache.Add(ex.fp, res)
-	}
-	s.mu.Unlock()
-	ex.cancel()
-}
-
-// failExec completes every job attached to ex as failed with msg.
-func (s *Server) failExec(ex *exec, msg string) {
-	s.mu.Lock()
-	if s.inflight[ex.fp] == ex {
-		delete(s.inflight, ex.fp)
-	}
-	now := time.Now()
-	for _, j := range ex.jobs {
-		j.finished = now
-		j.state = JobFailed
-		j.errMsg = msg
-		s.Metrics.IncCompleted(JobFailed)
-		close(j.done)
 	}
 	s.mu.Unlock()
 	ex.cancel()
@@ -925,25 +907,10 @@ func (s *Server) degradedWorker() {
 // deduplicated — the answer reflects this moment's overload, not a
 // property of the instance.
 func (s *Server) runDegraded(ex *exec) {
-	s.mu.Lock()
-	if len(ex.jobs) == 0 {
-		s.mu.Unlock()
-		ex.cancel()
+	if !s.begin(ex, "deadline exceeded while queued (degraded lane)") {
 		return
 	}
-	now := time.Now()
-	for _, j := range ex.jobs {
-		j.state = JobRunning
-		j.started = now
-	}
-	s.mu.Unlock()
-
-	if !ex.deadline.After(now) {
-		s.Metrics.DeadlineExceeded.Add(1)
-		s.failExec(ex, "deadline exceeded while queued (degraded lane)")
-		return
-	}
-	deadline := now.Add(s.opts.DegradedDeadline)
+	deadline := time.Now().Add(s.opts.DegradedDeadline)
 	if ex.deadline.Before(deadline) {
 		deadline = ex.deadline
 	}
@@ -962,23 +929,7 @@ func (s *Server) runDegraded(ex *exec) {
 		s.opts.Logf("service: degraded job %s (%s on %s) failed: %v",
 			ex.fp[:8], ex.spec.DFG.Name, ex.spec.Arch.Name, err)
 	}
-
-	s.mu.Lock()
-	now = time.Now()
-	for _, j := range ex.jobs {
-		j.finished = now
-		if err != nil {
-			j.state = JobFailed
-			j.errMsg = err.Error()
-		} else {
-			j.state = JobDone
-			j.result = res
-		}
-		s.Metrics.IncCompleted(j.state)
-		close(j.done)
-	}
-	s.mu.Unlock()
-	ex.cancel()
+	s.complete(ex, res, err)
 }
 
 // snapshot renders a job's wire status. Callers hold s.mu.

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -557,46 +558,63 @@ func TestFingerprintSemantics(t *testing.T) {
 	if fp(func(r *JobRequest) { r.Contexts = 3 }) == ref {
 		t.Error("context count not part of the job fingerprint")
 	}
-	if fp(func(r *JobRequest) { r.Incremental = true }) != ref {
-		t.Error("incremental flag leaked into the job fingerprint (it never changes the answer)")
-	}
 	if fp(func(r *JobRequest) { r.Symmetry = "on" }) != ref {
 		t.Error("symmetry mode leaked into the job fingerprint (it never changes the answer)")
 	}
 }
 
-// TestIncrementalThreading: the request's incremental flag (or the
-// server-wide default) must reach the solve dispatch through the spec.
-func TestIncrementalThreading(t *testing.T) {
-	for _, tc := range []struct {
-		server, request, want bool
-	}{
-		{false, false, false},
-		{false, true, true},
-		{true, false, true},
-	} {
-		var got bool
-		s := New(Options{Workers: 1, Incremental: tc.server,
-			Solve: func(ctx context.Context, spec *JobSpec) (*JobResult, error) {
-				got = spec.Mapper.Incremental
-				return fakeResult("inc"), nil
-			}})
-		req := gridReq(1)
-		req.Incremental = tc.request
-		st, err := s.Submit(req)
+// TestIncrementalFieldAccepted: older clients send an "incremental" job
+// field, which the server no longer reads. A raw JSON job carrying it
+// must still be accepted over HTTP, fingerprint like the same job without
+// it, and be answered from that job's cache entry.
+func TestIncrementalFieldAccepted(t *testing.T) {
+	var solves atomic.Int64
+	s := New(Options{Workers: 1,
+		Solve: func(ctx context.Context, spec *JobSpec) (*JobResult, error) {
+			solves.Add(1)
+			return fakeResult("wire"), nil
+		}})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	job, err := json.Marshal(gridReq(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) JobStatus {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		if _, err := s.Wait(ctx, st.ID); err != nil {
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			blob, _ := io.ReadAll(resp.Body)
+			t.Fatalf("POST %s: %d %s", body, resp.StatusCode, blob)
+		}
+		var st JobStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			t.Fatal(err)
 		}
-		cancel()
-		if got != tc.want {
-			t.Errorf("server=%v request=%v: spec.Mapper.Incremental = %v, want %v",
-				tc.server, tc.request, got, tc.want)
-		}
-		s.Shutdown(context.Background())
+		return st
+	}
+
+	plain := post(string(job))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := s.Wait(ctx, plain.ID); err != nil {
+		t.Fatal(err)
+	}
+	old := post(`{"incremental": true, ` + string(job[1:]))
+	if old.Fingerprint != plain.Fingerprint {
+		t.Errorf("fingerprint with incremental field = %s, without = %s", old.Fingerprint, plain.Fingerprint)
+	}
+	if !old.CacheHit {
+		t.Errorf("job with incremental field missed the cache: %+v", old)
+	}
+	if n := solves.Load(); n != 1 {
+		t.Errorf("solves = %d, want 1", n)
 	}
 }
 

@@ -8,14 +8,11 @@ import (
 )
 
 // backend is one way of running CDCL search over a loaded model. Every
-// solve goes through drive, which sequences the same phases for all three
+// solve goes through drive, which sequences the same phases for both
 // front ends — load, probe, search, tighten the objective bound, report —
 // so they differ only in their backend:
 //
-//   - Engine loads each model into a fresh solver with its constraints
-//     installed unguarded, so a scratch solve pays no selector tax;
-//   - Session installs into one long-lived solver behind selector
-//     assumptions, carrying learnt clauses from model to model;
+//   - Engine loads each model into a fresh solver of its own;
 //   - ParallelEngine loads a gang of diversified solvers that race every
 //     query and trade short learnt clauses.
 type backend interface {
@@ -153,16 +150,12 @@ func (s *solver) stats() map[string]int64 {
 	}
 }
 
-// assignment reads the values of n model variables after a satisfiable
-// search; vars maps model variables to solver variables (nil = identity).
-func (s *solver) assignment(n int, vars []int) ilp.Assignment {
+// assignment reads the values of the first n variables after a
+// satisfiable search.
+func (s *solver) assignment(n int) ilp.Assignment {
 	a := make(ilp.Assignment, n)
 	for v := range a {
-		sv := v
-		if vars != nil {
-			sv = vars[v]
-		}
-		a[v] = s.modelValue(sv)
+		a[v] = s.assigns[v] == lTrue
 	}
 	return a
 }

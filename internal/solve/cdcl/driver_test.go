@@ -71,45 +71,11 @@ func TestEngineTrajectoryPinned(t *testing.T) {
 	}
 }
 
-// TestSessionTrajectoryPinned pins an incremental session's trajectory
-// the same way: one session carried across every model, digesting status,
-// objective, assignment and the per-solve search counters. Moving it
-// changes what an incremental ladder decides under a fixed budget.
-func TestSessionTrajectoryPinned(t *testing.T) {
-	const want = "80ab48ccf6a736fe608ac8ce5e0eaf526d8ab66bbf8c87372ab6f58b5460b8f8"
-	h := sha256.New()
-	ctx := context.Background()
-	ses := NewSession(7)
-	solve := func(m *ilp.Model) {
-		sol, err := ses.Solve(ctx, m)
-		if err != nil {
-			fmt.Fprintf(h, "error %v\n", err)
-			return
-		}
-		fmt.Fprintf(h, "%v %d %v", sol.Status, sol.Objective, sol.Assignment)
-		for _, k := range []string{"conflicts", "decisions", "propagations", "restarts", "learnts_carried"} {
-			fmt.Fprintf(h, " %s=%d", k, sol.Stats[k])
-		}
-		fmt.Fprintln(h)
-	}
-	for seed := int64(0); seed < 150; seed++ {
-		solve(randomUnitModel(seed))
-		solve(hintedModel(seed))
-	}
-	for n := 3; n <= 6; n++ {
-		solve(buildPigeonhole(n))
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != want {
-		t.Errorf("session trajectory digest = %s, want %s", got, want)
-	}
-}
-
-// TestFrontEndsAgree: the three front ends of the shared driver — a
-// scratch engine, an incremental session carried across every model, and
-// a clause-sharing gang — agree on status and optimal objective.
+// TestFrontEndsAgree: the two front ends of the shared driver — a
+// scratch engine and a clause-sharing gang — agree on status and optimal
+// objective.
 func TestFrontEndsAgree(t *testing.T) {
 	ctx := context.Background()
-	ses := NewSession(3)
 	gangs := budget.New(8)
 	for seed := int64(0); seed < 150; seed++ {
 		m := hintedModel(seed)
@@ -119,19 +85,17 @@ func TestFrontEndsAgree(t *testing.T) {
 		}
 		par := NewParallel(3, seed)
 		par.Budget = gangs
-		for name, s := range map[string]ilp.Solver{"session": ses, "gang": par} {
-			got, err := s.Solve(ctx, m)
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, name, err)
-			}
-			if got.Status != want.Status || got.Objective != want.Objective {
-				t.Errorf("seed %d %s: %v/%d, engine %v/%d", seed, name,
-					got.Status, got.Objective, want.Status, want.Objective)
-			}
-			if got.Assignment != nil {
-				if err := m.Check(got.Assignment); err != nil {
-					t.Errorf("seed %d %s: %v", seed, name, err)
-				}
+		got, err := par.Solve(ctx, m)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got.Status != want.Status || got.Objective != want.Objective {
+			t.Errorf("seed %d gang: %v/%d, engine %v/%d", seed,
+				got.Status, got.Objective, want.Status, want.Objective)
+		}
+		if got.Assignment != nil {
+			if err := m.Check(got.Assignment); err != nil {
+				t.Errorf("seed %d gang: %v", seed, err)
 			}
 		}
 	}

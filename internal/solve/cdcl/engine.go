@@ -117,8 +117,7 @@ func normalizeLE(terms []ilp.Term, rhs int, flip bool) (normalized, error) {
 	return n, nil
 }
 
-// compile encodes a model into a fresh solver, with every constraint
-// installed unguarded. It returns an error for non-unit coefficients; a
+// compile encodes a model into a fresh solver. It returns an error for non-unit coefficients; a
 // model trivially infeasible at the root comes back with ok cleared. A
 // non-zero seed jitters activities and phases for an independent search
 // trajectory.
@@ -204,7 +203,7 @@ func (e *Engine) Solve(ctx context.Context, m *ilp.Model) (*ilp.Solution, error)
 }
 
 // scratch is Engine's backend: one model compiled into a solver of its
-// own, probed at the root with unguarded facts.
+// own, probed at the root.
 type scratch struct {
 	s          *solver
 	nVars      int
@@ -221,7 +220,7 @@ func (r *scratch) probe(ctx context.Context) (lbool, error) {
 
 func (r *scratch) search(ctx context.Context) (lbool, error) { return r.s.search(ctx), nil }
 
-func (r *scratch) model() ilp.Assignment { return r.s.assignment(r.nVars, nil) }
+func (r *scratch) model() ilp.Assignment { return r.s.assignment(r.nVars) }
 
 func (r *scratch) bound(k int) bool {
 	r.s.cancelUntil(0)

@@ -222,7 +222,7 @@ func (g *gang) search(ctx context.Context) (lbool, error) {
 
 func (g *gang) model() ilp.Assignment {
 	w := g.workers[g.winner]
-	return w.assignment(w.nVars, nil)
+	return w.assignment(w.nVars)
 }
 
 // bound adds the tightened objective bound to every worker. Each worker's

@@ -57,11 +57,7 @@ type FrontierOptions struct {
 	Timeout time.Duration
 	// Mapper carries per-probe mapper options. Set Mapper.MapWith
 	// (portfolio.MapFunc, or a service client's MapFunc for a remote
-	// daemon) to route probes through an orchestrator. With
-	// Mapper.Incremental set (and no Solver or MapWith), each boundary's
-	// sequential probes share one incremental CDCL session: ladder rungs
-	// of one kernel family overlap heavily, so later probes of a
-	// bisection start from the earlier probes' learnt clauses.
+	// daemon) to route probes through an orchestrator.
 	Mapper mapper.Options
 	// Progress, when non-nil, receives one line per probe.
 	Progress io.Writer
@@ -175,11 +171,6 @@ func buildDevice(gs arch.GridSpec, cache *mapper.ArtifactCache) (*mrrg.Graph, er
 func bisect(ctx context.Context, device *mrrg.Graph, fabricName string, ii int,
 	spec FrontierSpec, opts FrontierOptions, kernel func(int) (*dfg.Graph, error)) (*Boundary, error) {
 	b := &Boundary{Fabric: fabricName, II: ii}
-	// With Incremental, one session per boundary: its probes run
-	// sequentially on one device, so they can safely share a solver. A
-	// probe that panics poisons only the session's current state — the
-	// busy guard rebuilds it on the next probe.
-	opts.Mapper = opts.Mapper.WithSession()
 	probe := func(n int) (bool, error) {
 		g, err := kernel(n)
 		if err != nil {
@@ -242,29 +233,10 @@ func bisect(ctx context.Context, device *mrrg.Graph, fabricName string, ii int,
 
 // runProbe maps one kernel onto one device under the probe deadline,
 // containing panics and mapper errors into Unknown cells.
-func runProbe(ctx context.Context, g *dfg.Graph, device *mrrg.Graph, n int, opts FrontierOptions) (p Probe, err error) {
-	probeCtx, cancel := context.WithTimeout(ctx, opts.Timeout)
-	defer cancel()
-	start := time.Now()
-	p = Probe{N: n, Kernel: g.Name}
-	defer func() {
-		p.Elapsed = time.Since(start)
-		if r := recover(); r != nil {
-			p.Status = ilp.Unknown
-			p.Reason = fmt.Sprintf("mapper panicked: %v", r)
-			err = nil
-		}
-	}()
-	res, mapErr := mapper.Map(probeCtx, g, device, opts.Mapper)
-	if mapErr != nil {
-		if ctx.Err() != nil {
-			return Probe{}, fmt.Errorf("workload: probing %s: %w", g.Name, mapErr)
-		}
-		p.Status = ilp.Unknown
-		p.Reason = fmt.Sprintf("mapper failed: %v", mapErr)
-		return p, nil
+func runProbe(ctx context.Context, g *dfg.Graph, device *mrrg.Graph, n int, opts FrontierOptions) (Probe, error) {
+	res, elapsed, err := mapper.MapContained(ctx, g, device, opts.Mapper, opts.Timeout)
+	if err != nil {
+		return Probe{}, fmt.Errorf("workload: probing %s: %w", g.Name, err)
 	}
-	p.Status = res.Status
-	p.Reason = res.Reason
-	return p, nil
+	return Probe{N: n, Kernel: g.Name, Status: res.Status, Reason: res.Reason, Elapsed: elapsed}, nil
 }
