@@ -141,8 +141,13 @@ func run(o runOpts) (int, error) {
 		if err != nil {
 			return exitError, err
 		}
-		defer f.Close()
-		if err := model.WriteLP(f); err != nil {
+		// A failed write-back may only surface at Close; either way
+		// the export failed and must not be reported as written.
+		err = model.WriteLP(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return exitError, err
 		}
 		fmt.Printf("wrote %s (%d binaries, %d constraints)\n", o.lpOut, model.NumVars(), len(model.Constraints))

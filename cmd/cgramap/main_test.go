@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -70,6 +71,35 @@ func TestRunLPExport(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "Minimize") || !strings.Contains(string(data), "Binary") {
 		t.Error("LP file malformed")
+	}
+}
+
+// TestRunLPExportWriteFailure: an export whose bytes cannot be written
+// (here /dev/full, which fails every write with ENOSPC) exits 1 and
+// never claims to have written the file.
+func TestRunLPExportWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	code, runErr := run(runOpts{benchName: "2x2-f", rows: 4, cols: 4, contexts: 1, diagonal: true,
+		objective: "feasibility", engine: "cdcl", fallback: true, timeout: time.Minute, lpOut: "/dev/full", quiet: true})
+	os.Stdout = stdout
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != exitError || runErr == nil {
+		t.Errorf("exit %d, error %v; want exit %d with an error", code, runErr, exitError)
+	}
+	if strings.Contains(string(out), "wrote") {
+		t.Errorf("failed export reported as written:\n%s", out)
 	}
 }
 

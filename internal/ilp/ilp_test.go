@@ -1,7 +1,14 @@
 package ilp
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"math/rand"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -117,6 +124,181 @@ func TestWriteLP(t *testing.T) {
 	}
 	if !strings.Contains(sb3.String(), "Minimize") {
 		t.Error("empty-objective LP missing Minimize section")
+	}
+}
+
+// refLPSafe and refWriteLP are the regexp/fmt LP writer WriteLP
+// replaced, kept as the reference its output is compared against. The
+// one deliberate difference is modelled in refLPName: a name that would
+// start with a digit or '.' gets a leading '_'.
+var refLPSafe = regexp.MustCompile(`[^A-Za-z0-9_.]`)
+
+func refLPName(m *Model, v Var) string {
+	name := refLPSafe.ReplaceAllString(m.VarName(v), "_")
+	if name != "" && (name[0] == '.' || '0' <= name[0] && name[0] <= '9') {
+		name = "_" + name
+	}
+	return fmt.Sprintf("%s_v%d", name, int(v))
+}
+
+func refWriteLP(m *Model, w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	name := strings.NewReplacer("\n", " ", "\r", " ").Replace(m.Name)
+	fmt.Fprintf(bw, "\\ Model: %s (%d binaries, %d constraints)\n", name, m.NumVars(), len(m.Constraints))
+	fmt.Fprintln(bw, "Minimize")
+	fmt.Fprint(bw, " obj:")
+	if len(m.Objective) == 0 {
+		fmt.Fprint(bw, " 0")
+		if m.NumVars() > 0 {
+			fmt.Fprintf(bw, " %s", refLPName(m, 0))
+			fmt.Fprintf(bw, " - %s", refLPName(m, 0))
+		}
+	} else {
+		refWriteTerms(bw, m, m.Objective)
+	}
+	fmt.Fprintln(bw)
+	fmt.Fprintln(bw, "Subject To")
+	for i, c := range m.Constraints {
+		fmt.Fprintf(bw, " c%d:", i)
+		refWriteTerms(bw, m, c.Terms)
+		if len(c.Terms) == 0 {
+			fmt.Fprint(bw, " 0")
+		}
+		fmt.Fprintf(bw, " %s %d\n", c.Rel, c.RHS)
+	}
+	fmt.Fprintln(bw, "Binary")
+	for v := 0; v < m.NumVars(); v++ {
+		fmt.Fprintf(bw, " %s\n", refLPName(m, Var(v)))
+	}
+	fmt.Fprintln(bw, "End")
+	return bw.Flush()
+}
+
+func refWriteTerms(w io.Writer, m *Model, terms []Term) {
+	for _, t := range terms {
+		switch {
+		case t.Coef == 1:
+			fmt.Fprintf(w, " + %s", refLPName(m, t.Var))
+		case t.Coef == -1:
+			fmt.Fprintf(w, " - %s", refLPName(m, t.Var))
+		case t.Coef < 0:
+			fmt.Fprintf(w, " - %d %s", -t.Coef, refLPName(m, t.Var))
+		default:
+			fmt.Fprintf(w, " + %d %s", t.Coef, refLPName(m, t.Var))
+		}
+	}
+}
+
+// lpNameParts are the raw materials of one generated variable name:
+// ASCII letters and digits, LP-unsafe punctuation, multi-byte runes,
+// U+FFFD and invalid UTF-8.
+var lpNameParts = []string{"", "a", "Z", "0", "7", ".", "_", "[", ",", "-", " ", "\n", "/", ":",
+	"é", "日本", "\uFFFD", "\xff", "\xc3", "\xe6\x97", "pe_1.alu", "c0.in"}
+
+type lpQuickModel struct{ m *Model }
+
+// Generate builds a model over random plain and composite names (also
+// undeclared variables and odd coefficients), with a random model name.
+func (lpQuickModel) Generate(r *rand.Rand, size int) reflect.Value {
+	word := func() string {
+		var sb strings.Builder
+		for n := r.Intn(5); n > 0; n-- {
+			sb.WriteString(lpNameParts[r.Intn(len(lpNameParts))])
+		}
+		return sb.String()
+	}
+	m := NewModel(word())
+	nv := 1 + r.Intn(size+1)
+	for i := 0; i < nv; i++ {
+		if r.Intn(2) == 0 {
+			m.Binary(word())
+		} else {
+			m.BinaryComposite(word(), word(), word(), r.Intn(4)-2)
+		}
+	}
+	coefs := []int{1, -1, 2, -3, 1 << 40, -(1 << 62)}
+	for nc := r.Intn(size + 1); nc > 0; nc-- {
+		var ts []Term
+		for nt := r.Intn(6); nt > 0; nt-- {
+			ts = append(ts, Term{Var: Var(r.Intn(nv+2) - 1), Coef: coefs[r.Intn(len(coefs))]})
+		}
+		m.Add("c", ts, Rel(r.Intn(3)), r.Intn(7)-3)
+	}
+	if r.Intn(2) == 0 {
+		m.Objective = []Term{{Var: Var(r.Intn(nv)), Coef: coefs[r.Intn(len(coefs))]}}
+	}
+	return reflect.ValueOf(lpQuickModel{m})
+}
+
+// TestWriteLPMatchesReference: the append-based writer is byte-identical
+// to the regexp/fmt reference on arbitrary names, including non-ASCII
+// runes and invalid UTF-8, each of which sanitises to exactly one '_'.
+func TestWriteLPMatchesReference(t *testing.T) {
+	prop := func(q lpQuickModel) bool {
+		var got, want bytes.Buffer
+		if err := q.m.WriteLP(&got); err != nil {
+			return false
+		}
+		if err := refWriteLP(q.m, &want); err != nil {
+			return false
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Logf("got:\n%s\nwant:\n%s", got.Bytes(), want.Bytes())
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestWriteLPNameRules: names LP readers would reject (a leading digit
+// or '.') gain a '_', other names do not, and a multi-line model name
+// stays on the one comment line.
+func TestWriteLPNameRules(t *testing.T) {
+	m := NewModel("two\nlines\r")
+	for _, name := range []string{"1a", ".x", "x1", "_1"} {
+		m.Binary(name)
+	}
+	m.BinaryComposite("9", "a", "b", 3)
+	m.BinaryComposite("", "a", "b", -1)
+	var sb strings.Builder
+	if err := m.WriteLP(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := "Binary\n _1a_v0\n _.x_v1\n x1_v2\n _1_v3\n _9_a_b_3__v4\n _a_b__v5\nEnd\n"
+	if out := sb.String(); !strings.HasSuffix(out, want) || !strings.HasPrefix(out, "\\ Model: two lines  (6 binaries") {
+		t.Errorf("LP output:\n%s", out)
+	}
+}
+
+// TestWriteLPAllocs: an export allocates a fixed handful of objects (the
+// writers and their buffers), however many variables, constraints and
+// terms the model has.
+func TestWriteLPAllocs(t *testing.T) {
+	build := func(n int) *Model {
+		m := NewModel("allocs")
+		for i := 0; i < n; i++ {
+			m.BinaryComposite("R", "c0.pe_1_2.mux", "v[é]", i%3-1)
+		}
+		for i := 0; i+1 < n; i++ {
+			m.AddLE("pair", []Term{{Var(i), 1}, {Var(i + 1), -2}}, 1)
+		}
+		m.AddEQ("wide", Sum(make([]Var, n)...), 1) // one line far past the flush size
+		return m
+	}
+	small, large := build(10), build(20000)
+	allocs := func(m *Model) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if err := m.WriteLP(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a, b := allocs(small), allocs(large)
+	if a != b || b > 4 {
+		t.Errorf("WriteLP allocations: %v on 10 variables, %v on 20000; want the same small constant", a, b)
 	}
 }
 

@@ -2,66 +2,178 @@ package ilp
 
 import (
 	"bufio"
-	"fmt"
 	"io"
-	"regexp"
+	"strconv"
+	"unicode/utf8"
 )
 
-var lpSafe = regexp.MustCompile(`[^A-Za-z0-9_.]`)
+// lpSafe marks the ASCII bytes an LP name may carry unchanged; every
+// other rune of a variable name becomes one '_'.
+var lpSafe = func() (t [utf8.RuneSelf]bool) {
+	for c := range t {
+		t[c] = 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '_' || c == '.'
+	}
+	return t
+}()
 
-// lpName sanitises a variable name for the LP file format, appending the
-// variable index to keep names unique after sanitisation.
-func (m *Model) lpName(v Var) string {
-	return fmt.Sprintf("%s_v%d", lpSafe.ReplaceAllString(m.VarName(v), "_"), int(v))
+// lpFlushAt bounds the line buffer: a line longer than this (a wide
+// constraint) is handed to the bufio.Writer in pieces, so the buffer
+// never grows and an export allocates the same few objects whatever
+// the model's size.
+const lpFlushAt = 4096
+
+// lpWriter assembles the LP text one line at a time in buf and flushes
+// each finished line into bw. The first write error is kept and ends
+// the export early.
+type lpWriter struct {
+	m   *Model
+	bw  *bufio.Writer
+	buf []byte
+	err error
+}
+
+func (w *lpWriter) flush() error {
+	if w.err == nil {
+		_, w.err = w.bw.Write(w.buf)
+	}
+	w.buf = w.buf[:0]
+	return w.err
 }
 
 // WriteLP serialises the model in the CPLEX LP file format, so that
 // formulations can be inspected or handed to an external solver (the
 // paper used Gurobi, which reads this format).
+//
+// Each variable is written as its diagnostic name with every rune
+// outside [A-Za-z0-9_.] replaced by '_' (an invalid UTF-8 byte counts
+// as one rune), a '_' in front when the name would otherwise start
+// with a digit or '.', which LP readers reject, and "_v<index>" after
+// it to keep names unique. Newlines in the model name are written as
+// spaces so the header stays one comment line.
 func (m *Model) WriteLP(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "\\ Model: %s (%d binaries, %d constraints)\n", m.Name, m.NumVars(), len(m.Constraints))
-	fmt.Fprintln(bw, "Minimize")
-	fmt.Fprint(bw, " obj:")
+	lw := &lpWriter{m: m, bw: bufio.NewWriter(w), buf: make([]byte, 0, 2*lpFlushAt)}
+	lw.buf = append(lw.buf, `\ Model: `...)
+	for i := 0; i < len(m.Name); i++ {
+		c := m.Name[i]
+		if c == '\n' || c == '\r' {
+			c = ' '
+		}
+		lw.buf = append(lw.buf, c)
+	}
+	lw.buf = append(lw.buf, " ("...)
+	lw.buf = strconv.AppendInt(lw.buf, int64(m.NumVars()), 10)
+	lw.buf = append(lw.buf, " binaries, "...)
+	lw.buf = strconv.AppendInt(lw.buf, int64(len(m.Constraints)), 10)
+	lw.buf = append(lw.buf, " constraints)\nMinimize\n obj:"...)
 	if len(m.Objective) == 0 {
-		fmt.Fprint(bw, " 0")
+		lw.buf = append(lw.buf, " 0"...)
 		if m.NumVars() > 0 {
 			// LP format needs at least one variable reference.
-			fmt.Fprintf(bw, " %s", m.lpName(0))
-			fmt.Fprintf(bw, " - %s", m.lpName(0))
+			lw.buf = m.appendLPName(append(lw.buf, ' '), 0)
+			lw.buf = m.appendLPName(append(lw.buf, " - "...), 0)
 		}
 	} else {
-		writeTerms(bw, m, m.Objective)
+		lw.terms(m.Objective)
 	}
-	fmt.Fprintln(bw)
-	fmt.Fprintln(bw, "Subject To")
-	for i, c := range m.Constraints {
-		fmt.Fprintf(bw, " c%d:", i)
-		writeTerms(bw, m, c.Terms)
+	lw.buf = append(lw.buf, "\nSubject To\n"...)
+	lw.flush()
+	for i := range m.Constraints {
+		c := &m.Constraints[i]
+		lw.buf = strconv.AppendInt(append(lw.buf, " c"...), int64(i), 10)
+		lw.buf = append(lw.buf, ':')
+		lw.terms(c.Terms)
 		if len(c.Terms) == 0 {
-			fmt.Fprint(bw, " 0")
+			lw.buf = append(lw.buf, " 0"...)
 		}
-		fmt.Fprintf(bw, " %s %d\n", c.Rel, c.RHS)
+		lw.buf = append(append(append(lw.buf, ' '), c.Rel.String()...), ' ')
+		lw.buf = append(strconv.AppendInt(lw.buf, int64(c.RHS), 10), '\n')
+		if lw.flush() != nil {
+			return lw.err
+		}
 	}
-	fmt.Fprintln(bw, "Binary")
+	lw.buf = append(lw.buf, "Binary\n"...)
 	for v := 0; v < m.NumVars(); v++ {
-		fmt.Fprintf(bw, " %s\n", m.lpName(Var(v)))
+		lw.buf = append(m.appendLPName(append(lw.buf, ' '), Var(v)), '\n')
+		if lw.flush() != nil {
+			return lw.err
+		}
 	}
-	fmt.Fprintln(bw, "End")
-	return bw.Flush()
+	lw.buf = append(lw.buf, "End\n"...)
+	if lw.flush() != nil {
+		return lw.err
+	}
+	return lw.bw.Flush()
 }
 
-func writeTerms(w io.Writer, m *Model, terms []Term) {
-	for _, t := range terms {
+// terms appends a linear expression, flushing mid-line once the buffer
+// passes lpFlushAt.
+func (w *lpWriter) terms(ts []Term) {
+	for _, t := range ts {
 		switch {
 		case t.Coef == 1:
-			fmt.Fprintf(w, " + %s", m.lpName(t.Var))
+			w.buf = append(w.buf, " + "...)
 		case t.Coef == -1:
-			fmt.Fprintf(w, " - %s", m.lpName(t.Var))
+			w.buf = append(w.buf, " - "...)
 		case t.Coef < 0:
-			fmt.Fprintf(w, " - %d %s", -t.Coef, m.lpName(t.Var))
+			w.buf = append(strconv.AppendInt(append(w.buf, " - "...), int64(-t.Coef), 10), ' ')
 		default:
-			fmt.Fprintf(w, " + %d %s", t.Coef, m.lpName(t.Var))
+			w.buf = append(strconv.AppendInt(append(w.buf, " + "...), int64(t.Coef), 10), ' ')
+		}
+		w.buf = w.m.appendLPName(w.buf, t.Var)
+		if len(w.buf) >= lpFlushAt {
+			w.flush()
 		}
 	}
+}
+
+// appendLPName appends v's LP name, sanitised straight from the stored
+// name parts, so no name string is ever built.
+func (m *Model) appendLPName(buf []byte, v Var) []byte {
+	if int(v) < 0 || int(v) >= len(m.names) {
+		// Undeclared: VarName's "x<index>" fallback.
+		sign := len(buf) + 1
+		buf = strconv.AppendInt(append(buf, 'x'), int64(v), 10)
+		if v < 0 {
+			buf[sign] = '_'
+		}
+	} else {
+		n := &m.names[v]
+		if p := n.prefix; p != "" && (p[0] == '.' || '0' <= p[0] && p[0] <= '9') {
+			buf = append(buf, '_')
+		}
+		buf = appendLPSafe(buf, n.prefix)
+		if n.a != "" || n.b != "" {
+			// "prefix[a,b]" or "prefix[a,b,k]": the brackets and
+			// commas sanitise to '_'.
+			buf = appendLPSafe(append(buf, '_'), n.a)
+			buf = appendLPSafe(append(buf, '_'), n.b)
+			if n.k >= 0 {
+				buf = strconv.AppendInt(append(buf, '_'), int64(n.k), 10)
+			}
+			buf = append(buf, '_')
+		}
+	}
+	return strconv.AppendInt(append(buf, "_v"...), int64(v), 10)
+}
+
+// appendLPSafe appends s with every rune outside [A-Za-z0-9_.] replaced
+// by '_', copying runs of safe bytes at once.
+func appendLPSafe(buf []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf && lpSafe[c] {
+			i++
+			continue
+		}
+		buf = append(append(buf, s[start:i]...), '_')
+		if c < utf8.RuneSelf {
+			i++
+		} else {
+			_, size := utf8.DecodeRuneInString(s[i:])
+			i += size
+		}
+		start = i
+	}
+	return append(buf, s[start:]...)
 }

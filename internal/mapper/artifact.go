@@ -2,7 +2,9 @@ package mapper
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"fmt"
+	"io"
 	"sync"
 
 	"cgramap/internal/arch"
@@ -104,10 +106,27 @@ func (c *ArtifactCache) MRRG(a *arch.Arch) (*mrrg.Graph, error) {
 // options (workers, seed) are not — they never reach the
 // formulation. Symmetry must be resolved (never SymmetryAuto) by the
 // time a template is requested, so the key is well-defined.
+//
+// The DFG fingerprint ignores names, but a template's stamps carry them
+// (the model name and every F/R variable name come from the template's
+// own graph), so the key also hashes the kernel, operation and value
+// names: two isomorphic kernels with different names (cos_4 and cosh_4)
+// must not share a template, or one would be exported and decoded under
+// the other's names.
 func templateKey(g *dfg.Graph, a *arch.Arch, opts Options) string {
 	single := *a
 	single.Contexts = 1
-	return fmt.Sprintf("%s/%s/o%d-p%t-s%t-y%t", g.Fingerprint(), single.Fingerprint(),
+	names := sha256.New()
+	io.WriteString(names, g.Name)
+	for _, op := range g.Ops() {
+		names.Write([]byte{0})
+		io.WriteString(names, op.Name)
+	}
+	for _, v := range g.Vals() {
+		names.Write([]byte{0})
+		io.WriteString(names, v.Name)
+	}
+	return fmt.Sprintf("%s/%x/%s/o%d-p%t-s%t-y%t", g.Fingerprint(), names.Sum(nil), single.Fingerprint(),
 		opts.Objective, opts.DisablePruning, opts.DisablePresolve, opts.Symmetry == SymmetryOn)
 }
 

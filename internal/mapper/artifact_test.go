@@ -10,6 +10,7 @@ import (
 
 	"cgramap/internal/arch"
 	"cgramap/internal/bench"
+	"cgramap/internal/dfg"
 	"cgramap/internal/ilp"
 	"cgramap/internal/mrrg"
 )
@@ -265,5 +266,90 @@ func TestMapAutoCachedEquivalentToScratchLadder(t *testing.T) {
 	st := shared.Stats()
 	if st.TemplateHits == 0 || st.MRRG.Hits == 0 {
 		t.Fatalf("warm rerun produced no cache hits: %+v", st)
+	}
+}
+
+// TestColdStampReservation: a cold stamp (no size hint yet) reserves at
+// least what it emits, so its arrays never regrow, and at most 1.25x of
+// it, so the reservation never bloats the heap. Checked on every Table
+// 2 instance plus the four 8x8 kernels the formulate benchmark exports;
+// a symmetry-breaking stamp must still reserve enough.
+func TestColdStampReservation(t *testing.T) {
+	type instance struct {
+		kernels []string
+		spec    arch.GridSpec
+	}
+	var cases []instance
+	for _, spec := range arch.PaperArchitectures() {
+		cases = append(cases, instance{bench.Names(), spec})
+	}
+	for _, c := range []int{1, 2} {
+		cases = append(cases, instance{[]string{"2x2-f", "accum", "add_10", "mult_10"},
+			arch.GridSpec{Rows: 8, Cols: 8, Interconnect: arch.Diagonal, Homogeneous: true, Contexts: c}})
+	}
+	check := func(name string, opts Options, a *arch.Arch, mg *mrrg.Graph, tight bool) {
+		tmpl, err := NewTemplate(bench.MustGet(name), a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := tmpl.stamp(mg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.infeasible != "" {
+			return
+		}
+		m := f.model
+		got := modelSize{vars: m.NumVars(), cons: len(m.Constraints)}
+		for i := range m.Constraints {
+			got.terms += len(m.Constraints[i].Terms)
+		}
+		r := f.reserved
+		under := r.vars < got.vars || r.cons < got.cons || r.terms < got.terms
+		bloated := tight && (r.vars != got.vars || 4*r.cons > 5*got.cons || 4*r.terms > 5*got.terms)
+		if under || bloated {
+			t.Errorf("%s on %s (symmetry %v): reserved %+v, emitted %+v", name, a.Name, opts.Symmetry, r, got)
+		}
+	}
+	for _, c := range cases {
+		a, err := arch.Grid(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mg, err := mrrg.Generate(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range c.kernels {
+			check(name, Options{}, a, mg, true)
+			if c.spec.Rows == 4 && c.spec.Contexts == 1 {
+				check(name, Options{Symmetry: SymmetryOn}, a, mg, false)
+			}
+		}
+	}
+}
+
+// TestTemplateCacheKeepsNames: cos_4 and cosh_4 are isomorphic (equal
+// DFG fingerprints) but differently named. Through one cache, each must
+// still get a model under its own names, identical to its scratch model.
+func TestTemplateCacheKeepsNames(t *testing.T) {
+	cos, cosh := bench.MustGet("cos_4"), bench.MustGet("cosh_4")
+	if cos.Fingerprint() != cosh.Fingerprint() {
+		t.Skip("cos_4 and cosh_4 are no longer isomorphic")
+	}
+	_, mg := gridAt(t, artifactArch, 2)
+	cache := NewArtifactCache(4)
+	for _, g := range []*dfg.Graph{cos, cosh} {
+		sm, _, err := BuildModel(g, mg, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm, _, err := BuildModel(g, mg, Options{Artifacts: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sm == nil || cm == nil || cm.Fingerprint() != sm.Fingerprint() {
+			t.Errorf("%s: cached model differs from scratch", g.Name)
+		}
 	}
 }

@@ -48,7 +48,14 @@ type formulation struct {
 	// infeasible holds a human-readable reason when the instance was
 	// proven infeasible during construction (presolve / pruning).
 	infeasible string
+
+	// reserved is the capacity a cold stamp reserved up front (zero
+	// on warm stamps, which use the template's size hints).
+	reserved modelSize
 }
+
+// modelSize is a variable, constraint and constraint-term count.
+type modelSize struct{ vars, cons, terms int }
 
 // kindSlots is the counting-presolve data for one operation kind.
 type kindSlots struct {
@@ -112,7 +119,8 @@ type Template struct {
 	// hintVars/hintCons/hintTerms remember the largest model any stamp
 	// of this template has produced, so repeat stamps (the warm half of
 	// an II ladder) pre-size the model's backing arrays instead of
-	// growing them append by append. Capacity only — reservation never
+	// growing them append by append; a cold stamp sizes them from
+	// stamper.coldSize instead. Capacity only — reservation never
 	// changes the emitted model.
 	hintVars, hintCons, hintTerms atomic.Int64
 
@@ -251,8 +259,11 @@ type stamper struct {
 	// seeded runs have to be reproducible across processes.
 	keys []int
 
-	queue      []int
-	fwd, bwd   []bool
+	queue    []int
+	fwd, bwd []bool
+	// counts and union are coldSize's per-node scratch.
+	counts     []int
+	union      []bool
 	legalArena []int
 	// boolArena backs the per-sub-value allowed route sets; boolUsed
 	// tracks the high-water mark that must be re-zeroed before reuse.
@@ -308,6 +319,9 @@ func (s *stamper) run() error {
 
 	if n := t.hintVars.Load(); n > 0 {
 		f.model.Reserve(int(n), int(t.hintCons.Load()), int(t.hintTerms.Load()))
+	} else {
+		f.reserved = s.coldSize(allowed)
+		f.model.Reserve(f.reserved.vars, f.reserved.cons, f.reserved.terms)
 	}
 	s.createVars(allowed)
 	s.addPlacementConstraints()
@@ -579,6 +593,130 @@ func (s *stamper) refineLegal(allowed [][][]bool) {
 			return
 		}
 	}
+}
+
+// coldSize sizes the model about to be emitted from the legal
+// placements and allowed route sets alone, so a stamp with no size hint
+// still fills its backing arrays without regrowing them. The F and R
+// variable counts are exact; constraints and terms are bounded from
+// above by mirroring the emission loops below. Only an FU fanout's term
+// in (5) and the symmetry chains, SE variables included, are counted at
+// their maximum.
+func (s *stamper) coldSize(allowed [][][]bool) modelSize {
+	g, mg := s.t.g, s.mg
+	n := len(mg.Nodes)
+	if cap(s.counts) < n {
+		s.counts = make([]int, n)
+		s.union = make([]bool, n)
+	}
+	// cnt[p] counts the operations legal on FU node p and cnt[i] the
+	// values routable through routing node i; the two node sets are
+	// disjoint, so one array serves (2) and (4).
+	cnt, union := s.counts[:n], s.union[:n]
+	clear(cnt)
+	var z modelSize
+	// F variables and (1) placement.
+	for _, op := range g.Ops() {
+		z.vars += len(s.legal[op.ID])
+		for _, p := range s.legal[op.ID] {
+			cnt[p]++
+		}
+	}
+	fvars := z.vars
+	z.cons += g.NumOps()
+	z.terms += fvars
+	for _, v := range g.Vals() {
+		clear(union)
+		for k := range v.Uses {
+			set := allowed[v.ID][k]
+			for i, ok := range set {
+				if !ok {
+					continue
+				}
+				union[i] = true
+				node := mg.Nodes[i]
+				// R_{i,j,k}, (5) fanout routing and (8) resource
+				// usage; (6) on operand ports.
+				z.vars++
+				z.cons += 2
+				z.terms += 3
+				for _, m := range node.Fanouts {
+					if mg.Nodes[m].Kind != mrrg.RouteRes || set[m] {
+						z.terms++
+					}
+				}
+				if node.OperandPort >= 0 {
+					z.cons++
+					z.terms += 2
+				}
+			}
+		}
+		// (7) initial fanout.
+		for _, p := range s.legal[v.Def.ID] {
+			out := mg.Nodes[p].OutNode
+			for k := range v.Uses {
+				z.cons++
+				z.terms++
+				if allowed[v.ID][k][out] {
+					z.terms++
+				}
+			}
+		}
+		// Distinct operand ports.
+		for _, op := range g.Ops() {
+			if len(op.In) != 2 || op.In[0] != op.In[1] || op.In[0] != v {
+				continue
+			}
+			a0, a1 := allowed[v.ID][useIndex(v, op, 0)], allowed[v.ID][useIndex(v, op, 1)]
+			for i, ok := range a0 {
+				if ok && a1[i] && mg.Nodes[i].OperandPort >= 0 {
+					z.cons++
+					z.terms += 2
+				}
+			}
+		}
+		// R_{i,j} and (9) multiplexer input exclusivity.
+		for i, ok := range union {
+			if !ok {
+				continue
+			}
+			z.vars++
+			cnt[i]++
+			if fanins := mg.Nodes[i].Fanins; len(fanins) > 1 {
+				z.cons++
+				z.terms++
+				for _, m := range fanins {
+					if union[m] {
+						z.terms++
+					}
+				}
+			}
+		}
+	}
+	// (2) and (4): one exclusivity constraint per shared node.
+	for _, c := range cnt {
+		if c > 1 {
+			z.cons++
+			z.terms += c
+		}
+	}
+	if s.t.symmetry {
+		// A lex chain's positions are distinct F variables, at most
+		// maxLexPositions of them. It has a two-term head and per
+		// further link one SE variable and at most six clauses of 19
+		// terms; orbit fixing is one constraint over the anchor.
+		chains := len(s.t.valueSwaps)
+		if s.t.syms != nil && !s.t.syms.Trivial() {
+			chains += len(s.t.syms.Gens)
+			z.cons++
+			z.terms += len(s.legal[s.t.anchorOp])
+		}
+		links := min(maxLexPositions, fvars) - 1
+		z.vars += chains * links
+		z.cons += chains * (1 + 6*links)
+		z.terms += chains * (2 + 19*links)
+	}
+	return z
 }
 
 func (s *stamper) createVars(allowed [][][]bool) {

@@ -10,6 +10,7 @@ import (
 	"cgramap/internal/arch"
 	"cgramap/internal/bench"
 	"cgramap/internal/budget"
+	"cgramap/internal/dfg"
 	"cgramap/internal/ilp"
 	"cgramap/internal/mapper"
 	"cgramap/internal/mrrg"
@@ -56,6 +57,10 @@ type seriesSpec struct {
 // against: the paper's 4x4 heterogeneous-capable grid with two contexts.
 var formulationArch = arch.GridSpec{Rows: 4, Cols: 4, Interconnect: arch.Diagonal, Homogeneous: true, Contexts: 2}
 
+// formulationKernels are the kernels of the formulate/<kernel> and
+// writelp/<kernel> series.
+var formulationKernels = []string{"2x2-f", "accum", "extreme"}
+
 // suite returns the standard series set. MRRG generation and ILP
 // formulation are gated (pure construction: deterministic allocations,
 // stable timing); end-to-end solves are recorded for trajectory and
@@ -85,37 +90,26 @@ func suite() []seriesSpec {
 			},
 		})
 	}
-	for _, kernel := range []string{"2x2-f", "accum", "extreme"} {
+	for _, kernel := range formulationKernels {
 		kernel := kernel
 		specs = append(specs, seriesSpec{
 			name:      "formulate/" + kernel,
 			gated:     true,
 			shortTier: true,
 			setup: func(SuiteOptions) (op, error) {
-				a, err := arch.Grid(formulationArch)
-				if err != nil {
-					return nil, err
-				}
-				mg, err := mrrg.Generate(a)
-				if err != nil {
-					return nil, err
-				}
-				g, err := bench.Get(kernel)
+				g, mg, err := formulationInputs(kernel)
 				if err != nil {
 					return nil, err
 				}
 				return func() (map[string]int64, error) {
-					m, reason, err := mapper.BuildModel(g, mg, mapper.Options{})
-					if err != nil {
-						return nil, err
-					}
-					if m == nil {
-						return nil, fmt.Errorf("unexpectedly infeasible: %s", reason)
-					}
-					return nil, nil
+					_, err := formulationModel(g, mg)
+					return nil, err
 				}, nil
 			},
 		})
+	}
+	for _, kernel := range formulationKernels {
+		specs = append(specs, writeLPSpec(kernel))
 	}
 	specs = append(specs,
 		// The template/scratch twin pair measures what the artifact cache
@@ -434,6 +428,56 @@ func symmetryTwinSpec(name string, sym mapper.SymmetryMode) seriesSpec {
 			}, nil
 		},
 	}
+}
+
+// writeLPSpec exports the formulate/<kernel> model in LP format to
+// io.Discard: the export layer of the `cgramap -lp` path on its own.
+// Gated on the short tier: the writer's allocations are a small
+// constant, independent of the model's size.
+func writeLPSpec(kernel string) seriesSpec {
+	return seriesSpec{
+		name:      "writelp/" + kernel,
+		gated:     true,
+		shortTier: true,
+		setup: func(SuiteOptions) (op, error) {
+			g, mg, err := formulationInputs(kernel)
+			if err != nil {
+				return nil, err
+			}
+			m, err := formulationModel(g, mg)
+			if err != nil {
+				return nil, err
+			}
+			return func() (map[string]int64, error) {
+				return nil, m.WriteLP(io.Discard)
+			}, nil
+		},
+	}
+}
+
+// formulationInputs returns the kernel's DFG and the formulationArch
+// MRRG the formulate/<kernel> and writelp/<kernel> series build from.
+func formulationInputs(kernel string) (*dfg.Graph, *mrrg.Graph, error) {
+	a, err := arch.Grid(formulationArch)
+	if err != nil {
+		return nil, nil, err
+	}
+	mg, err := mrrg.Generate(a)
+	if err != nil {
+		return nil, nil, err
+	}
+	g, err := bench.Get(kernel)
+	return g, mg, err
+}
+
+// formulationModel builds the series' ILP, which must not be proven
+// infeasible before solving.
+func formulationModel(g *dfg.Graph, mg *mrrg.Graph) (*ilp.Model, error) {
+	m, reason, err := mapper.BuildModel(g, mg, mapper.Options{})
+	if err == nil && m == nil {
+		err = fmt.Errorf("unexpectedly infeasible: %s", reason)
+	}
+	return m, err
 }
 
 // formulateTwinSpec builds one half of the template/scratch formulation
