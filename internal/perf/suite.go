@@ -15,6 +15,7 @@ import (
 	"cgramap/internal/mapper"
 	"cgramap/internal/mrrg"
 	"cgramap/internal/solve/bb"
+	"cgramap/internal/solve/cdcl"
 	"cgramap/internal/workload"
 )
 
@@ -110,6 +111,9 @@ func suite() []seriesSpec {
 	}
 	for _, kernel := range formulationKernels {
 		specs = append(specs, writeLPSpec(kernel))
+	}
+	for _, kernel := range formulationKernels {
+		specs = append(specs, compileSpec(kernel))
 	}
 	specs = append(specs,
 		// The template/scratch twin pair measures what the artifact cache
@@ -451,6 +455,29 @@ func writeLPSpec(kernel string) seriesSpec {
 			return func() (map[string]int64, error) {
 				return nil, m.WriteLP(io.Discard)
 			}, nil
+		},
+	}
+}
+
+// compileSpec loads the formulate/<kernel> model into a CDCL solver
+// without searching: the load layer every solve pays before its first
+// decision. Gated on the short tier: loading makes a constant number of
+// allocations, independent of the model's size.
+func compileSpec(kernel string) seriesSpec {
+	return seriesSpec{
+		name:      "compile/" + kernel,
+		gated:     true,
+		shortTier: true,
+		setup: func(SuiteOptions) (op, error) {
+			g, mg, err := formulationInputs(kernel)
+			if err != nil {
+				return nil, err
+			}
+			m, err := formulationModel(g, mg)
+			if err != nil {
+				return nil, err
+			}
+			return func() (map[string]int64, error) { return cdcl.Compile(m) }, nil
 		},
 	}
 }

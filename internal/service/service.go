@@ -328,7 +328,10 @@ type job struct {
 	started     time.Time
 	finished    time.Time
 	done        chan struct{}
-	ex          *exec
+	// ex is the solve a live job is attached to; it is cleared when the
+	// job reaches a terminal state, so that retained records do not pin
+	// the solve's spec (parsed DFG and architecture) and context.
+	ex *exec
 }
 
 // exec is one in-flight solve, shared by every job submitted with the
@@ -713,6 +716,7 @@ func (s *Server) Cancel(id string) (*JobStatus, error) {
 	close(j.done)
 	s.Metrics.IncCompleted(JobCancelled)
 	if ex := j.ex; ex != nil {
+		j.ex = nil
 		live := ex.jobs[:0]
 		for _, other := range ex.jobs {
 			if other != j {
@@ -874,6 +878,7 @@ func (s *Server) complete(ex *exec, res *JobResult, err error) {
 	now := time.Now()
 	for _, j := range ex.jobs {
 		j.finished = now
+		j.ex = nil
 		if err != nil {
 			j.state = JobFailed
 			j.errMsg = err.Error()

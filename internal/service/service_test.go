@@ -762,3 +762,76 @@ func TestEngineOptions(t *testing.T) {
 		t.Errorf("daemon: %+v, %v", o, err)
 	}
 }
+
+// TestRetainedJobsReleaseExec: a job that reached a terminal state —
+// completed, cancelled, or deduplicated and completed — keeps status and
+// result only. Its record no longer references the solve (and through
+// it the parsed spec and context), so the retained job history does not
+// pin a parsed DFG and architecture per finished job.
+func TestRetainedJobsReleaseExec(t *testing.T) {
+	release := make(chan struct{})
+	s := New(Options{
+		Workers:    1,
+		QueueDepth: 8,
+		Solve: func(ctx context.Context, spec *JobSpec) (*JobResult, error) {
+			<-release
+			return fakeResult(spec.Fingerprint[:8]), nil
+		},
+	})
+	defer s.Shutdown(context.Background())
+	attached := func(id string) bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.jobs[id].ex != nil
+	}
+
+	first, err := s.Submit(gridReq(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup, err := s.Submit(gridReq(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped, err := s.Submit(gridReq(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := s.Submit(gridReq(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dup.Deduped || !dropped.Deduped {
+		t.Fatalf("duplicates not deduplicated: %+v %+v", dup, dropped)
+	}
+	for _, id := range []string{dropped.ID, queued.ID} {
+		if _, err := s.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+		if attached(id) {
+			t.Errorf("cancelled job %s still references its solve", id)
+		}
+	}
+	if !attached(first.ID) || !attached(dup.ID) {
+		t.Fatal("live jobs lost their solve")
+	}
+
+	close(release)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, id := range []string{first.ID, dup.ID} {
+		st, err := s.Wait(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != JobDone {
+			t.Fatalf("job %s ended %s", id, st.State)
+		}
+		if attached(id) {
+			t.Errorf("completed job %s still references its solve", id)
+		}
+	}
+	if res, err := s.Result(dup.ID); err != nil || res.Reason != first.ID[len(first.ID)-8:] {
+		t.Errorf("deduplicated job result %+v, %v", res, err)
+	}
+}

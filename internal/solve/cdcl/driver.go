@@ -2,7 +2,6 @@ package cdcl
 
 import (
 	"context"
-	"fmt"
 
 	"cgramap/internal/ilp"
 )
@@ -115,28 +114,6 @@ func probeCandidates(m *ilp.Model) []int {
 	return c
 }
 
-// normalizeAll rewrites every constraint of m into at-most form, in model
-// order (an equality yields its <= half, then its >= half), and hands
-// each to install. It stops early when install returns false.
-func normalizeAll(m *ilp.Model, install func(normalized) bool) error {
-	for i := range m.Constraints {
-		c := &m.Constraints[i]
-		for _, flip := range [2]bool{false, true} {
-			if !flip && c.Rel == ilp.GE || flip && c.Rel == ilp.LE {
-				continue
-			}
-			n, err := normalizeLE(c.Terms, c.RHS, flip)
-			if err != nil {
-				return fmt.Errorf("%s constraint %q: %w", m.Name, c.Name, err)
-			}
-			if !install(n) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
 // stats reports the solver's search counters and database sizes.
 func (s *solver) stats() map[string]int64 {
 	return map[string]int64{
@@ -144,7 +121,7 @@ func (s *solver) stats() map[string]int64 {
 		"decisions":    s.decisions,
 		"propagations": s.propagations,
 		"restarts":     s.restarts,
-		"clauses":      int64(len(s.clauses)),
+		"clauses":      int64(s.nClauses),
 		"cards":        int64(len(s.cards)),
 		"learnts":      int64(len(s.learnts)),
 	}
@@ -155,7 +132,7 @@ func (s *solver) stats() map[string]int64 {
 func (s *solver) assignment(n int) ilp.Assignment {
 	a := make(ilp.Assignment, n)
 	for v := range a {
-		a[v] = s.assigns[v] == lTrue
+		a[v] = s.vals[mkLit(v, false)] == lTrue
 	}
 	return a
 }

@@ -47,15 +47,3 @@ const (
 	lTrue  lbool = 1
 	lFalse lbool = -1
 )
-
-// valueOf evaluates a literal under variable assignments.
-func valueOf(assigns []lbool, l lit) lbool {
-	v := assigns[l.vi()]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.sign() {
-		return -v
-	}
-	return v
-}

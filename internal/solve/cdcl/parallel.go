@@ -124,12 +124,17 @@ type gang struct {
 	winner     int
 }
 
-// load compiles the gang serially: identical formula, diversified
-// trajectories.
+// load compiles the model once and clones the loaded solver for every
+// further lane before any lane is seeded: identical formula, diversified
+// trajectories. Lane i ends up equal to compile(m, mixSeed(e.Seed, i)).
 func (e *ParallelEngine) load(m *ilp.Model, objLits []lit, k int) (*gang, error) {
 	maxLen := e.ShareMaxLen
 	if maxLen <= 0 {
 		maxLen = 8
+	}
+	base, err := load(m)
+	if err != nil {
+		return nil, err
 	}
 	g := &gang{
 		workers:    make([]*solver, k),
@@ -139,11 +144,12 @@ func (e *ParallelEngine) load(m *ilp.Model, objLits []lit, k int) (*gang, error)
 		candidates: probeCandidates(m),
 		winner:     -1,
 	}
-	for i := range g.workers {
-		s, err := compile(m, mixSeed(e.Seed, i))
-		if err != nil {
-			return nil, err
-		}
+	g.workers[0] = base
+	for i := 1; i < k; i++ {
+		g.workers[i] = base.clone()
+	}
+	for i, s := range g.workers {
+		s.applySeed(mixSeed(e.Seed, i))
 		s.varDecay = laneDecay[i%len(laneDecay)]
 		s.restartScale = laneRestart[i%len(laneRestart)]
 		var cursor uint64
@@ -162,7 +168,6 @@ func (e *ParallelEngine) load(m *ilp.Model, objLits []lit, k int) (*gang, error)
 			g.imported[i] += int64(n)
 			return sound
 		}
-		g.workers[i] = s
 	}
 	return g, nil
 }
@@ -242,7 +247,7 @@ func (g *gang) stats() map[string]int64 {
 	w0 := g.workers[0]
 	agg := map[string]int64{
 		"workers": int64(len(g.workers)),
-		"clauses": int64(len(w0.clauses)),
+		"clauses": int64(w0.nClauses),
 		"cards":   int64(len(w0.cards)),
 		"learnts": int64(len(w0.learnts)),
 	}

@@ -128,9 +128,9 @@ func (s *solver) importLearnt(in []lit) bool {
 	case 1:
 		return s.addFact(lits[0])
 	}
-	c := &clause{lits: lits, learnt: true}
-	s.learnts = append(s.learnts, c)
-	s.attach(c)
-	s.bumpClause(c)
+	cr := s.newClause(lits)
+	s.learnts = append(s.learnts, cr)
+	s.attach(cr)
+	s.bumpClause(cr)
 	return true
 }

@@ -8,43 +8,65 @@ import (
 // clause is a disjunction of literals. Watched literals are lits[0] and
 // lits[1].
 type clause struct {
-	lits   []lit
-	act    float64
-	learnt bool
+	lits []lit
+	act  float64
 }
 
 // card is an at-most-k constraint over literals: sum(lits true) <= k.
 // count tracks how many literals are currently true.
 type card struct {
 	lits  []lit
-	k     int
-	count int
+	k     int32
+	count int32
 }
 
+// watcher is one entry of a watch list: the index of a clause in the
+// solver's clause slab and a blocker literal whose truth satisfies it.
 type watcher struct {
-	c       *clause
+	c       int32
 	blocker lit
 }
 
+// varData records how a variable was assigned: its decision level and
+// the clause (cl) or card (cd) that implied it, or noClause and -1 for
+// decisions and facts.
+type varData struct {
+	level, cl, cd int32
+}
+
+// noClause is the clause index of "no clause" (a decision, a fact, or a
+// card reason).
+const noClause int32 = -1
+
 // solver is the CDCL core. It is not safe for concurrent use.
+//
+// Memory layout: every constraint lives in a slab (ca for clauses, cards
+// for cards) and is referred to by its index, so what the propagation
+// loop touches per literal and per variable — watch entries, card
+// occurrence lists, values, reasons — holds no pointers: the collector
+// neither scans it nor puts write barriers on it. A loaded model's
+// clause and card literals are carved from one arena sized from the
+// model (see load).
 type solver struct {
 	nVars int
 	ok    bool // false once a top-level conflict is derived
 
-	clauses []*clause
-	learnts []*clause
-	cards   []*card
+	ca       []clause // clause slab: problem clauses and learnts
+	free     []int32  // slab slots released by reduceDB, reused first
+	nClauses int      // problem (non-learnt) clauses in ca
+	learnts  []int32
+	cards    []card
 
 	// watches[l] lists clauses watching literal l, inspected when l
 	// becomes false.
 	watches [][]watcher
-	// cardOcc[l] lists cards containing literal l.
-	cardOcc [][]int32
+	// occ[occStart[l]:occStart[l+1]] lists the cards containing literal
+	// l, in installation order (see cardsOf).
+	occStart []int32
+	occ      []int32
 
-	assigns  []lbool
-	level    []int32
-	reasonCl []*clause
-	reasonCd []int32
+	vals     []lbool   // vals[l] is literal l's value
+	vd       []varData // per variable: level and reason of its assignment
 	trail    []lit
 	trailLim []int
 	qhead    int
@@ -92,11 +114,10 @@ func newSolver(nVars int) *solver {
 		nVars:        nVars,
 		ok:           true,
 		watches:      make([][]watcher, 2*nVars),
-		cardOcc:      make([][]int32, 2*nVars),
-		assigns:      make([]lbool, nVars),
-		level:        make([]int32, nVars),
-		reasonCl:     make([]*clause, nVars),
-		reasonCd:     make([]int32, nVars),
+		occStart:     make([]int32, 2*nVars+1),
+		vals:         make([]lbool, 2*nVars),
+		vd:           make([]varData, nVars),
+		trail:        make([]lit, 0, nVars),
 		activity:     make([]float64, nVars),
 		phase:        make([]bool, nVars),
 		seen:         make([]bool, nVars),
@@ -106,8 +127,8 @@ func newSolver(nVars int) *solver {
 		varDecay:     0.95,
 		restartScale: 100,
 	}
-	for i := range s.reasonCd {
-		s.reasonCd[i] = -1
+	for i := range s.vd {
+		s.vd[i] = varData{cl: noClause, cd: -1}
 	}
 	s.heap.init(s)
 	return s
@@ -115,24 +136,22 @@ func newSolver(nVars int) *solver {
 
 func (s *solver) decisionLevel() int { return len(s.trailLim) }
 
-func (s *solver) value(l lit) lbool { return valueOf(s.assigns, l) }
+func (s *solver) value(l lit) lbool { return s.vals[l] }
+
+// assigned reports whether variable v has a value.
+func (s *solver) assigned(v int) bool { return s.vals[mkLit(v, false)] != lUndef }
 
 // enqueue assigns literal l true with the given reason. It must only be
 // called when l is unassigned. Card counters are maintained here (and in
 // cancelUntil) so that they stay balanced even for literals that are
 // enqueued but never reached by the propagation head before a conflict.
-func (s *solver) enqueue(l lit, rc *clause, rd int32) {
+func (s *solver) enqueue(l lit, rc int32, rd int32) {
 	v := l.vi()
-	if l.sign() {
-		s.assigns[v] = lFalse
-	} else {
-		s.assigns[v] = lTrue
-	}
-	s.level[v] = int32(s.decisionLevel())
-	s.reasonCl[v] = rc
-	s.reasonCd[v] = rd
+	s.vals[l] = lTrue
+	s.vals[l.neg()] = lFalse
+	s.vd[v] = varData{level: int32(s.decisionLevel()), cl: rc, cd: rd}
 	s.trail = append(s.trail, l)
-	for _, ci := range s.cardOcc[l] {
+	for _, ci := range s.cardsOf(l) {
 		s.cards[ci].count++
 	}
 }
@@ -146,55 +165,32 @@ func (s *solver) addFact(l lit) bool {
 		s.ok = false
 		return false
 	}
-	s.enqueue(l, nil, -1)
+	s.enqueue(l, noClause, -1)
 	return true
 }
 
-// addClause installs a clause at decision level 0. Literals already false
-// at level 0 are dropped; a satisfied clause is skipped. Returns false on
-// a top-level conflict.
-func (s *solver) addClause(in []lit) bool {
-	if !s.ok {
-		return false
+// cardsOf lists the cards containing literal l.
+func (s *solver) cardsOf(l lit) []int32 { return s.occ[s.occStart[l]:s.occStart[l+1]] }
+
+// newClause stores a clause in the slab, reusing a released slot first,
+// and returns its index. The caller attaches it.
+func (s *solver) newClause(lits []lit) int32 {
+	c := clause{lits: lits}
+	if n := len(s.free); n > 0 {
+		cr := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.ca[cr] = c
+		return cr
 	}
-	lits := make([]lit, 0, len(in))
-	for _, l := range in {
-		switch s.value(l) {
-		case lTrue:
-			return true // already satisfied at level 0
-		case lFalse:
-			continue
-		}
-		dup := false
-		for _, m := range lits {
-			if m == l {
-				dup = true
-				break
-			}
-			if m == l.neg() {
-				return true // tautology
-			}
-		}
-		if !dup {
-			lits = append(lits, l)
-		}
-	}
-	switch len(lits) {
-	case 0:
-		s.ok = false
-		return false
-	case 1:
-		return s.addFact(lits[0])
-	}
-	c := &clause{lits: lits}
-	s.clauses = append(s.clauses, c)
-	s.attach(c)
-	return true
+	s.ca = append(s.ca, c)
+	return int32(len(s.ca) - 1)
 }
 
 // addAtMost installs sum(lits) <= k at decision level 0, simplifying
-// against the current top-level assignment. Returns false on a top-level
-// conflict. Literals must be over distinct variables.
+// against the current top-level assignment, and attaches it at once.
+// Returns false on a top-level conflict. Literals must be over distinct
+// variables. Models are loaded by load instead; this is for constraints
+// added after loading (objective bounds).
 func (s *solver) addAtMost(in []lit, k int) bool {
 	if !s.ok {
 		return false
@@ -219,46 +215,73 @@ func (s *solver) addAtMost(in []lit, k int) bool {
 	}
 	if k == 0 {
 		for _, l := range lits {
-			if !s.addFact(l.neg()) {
-				return false
-			}
+			s.enqueue(l.neg(), noClause, -1)
 		}
 		return true
 	}
 	if k == len(lits)-1 {
-		// "not all true": a plain clause of negations.
-		neg := make([]lit, 0, len(lits))
-		for _, l := range lits {
-			neg = append(neg, l.neg())
+		// "not all true": a plain clause of negations (at least two,
+		// distinct and unassigned).
+		for i, l := range lits {
+			lits[i] = l.neg()
 		}
-		return s.addClause(neg)
+		s.attach(s.newClause(lits))
+		s.nClauses++
+		return true
 	}
-	c := &card{lits: lits, k: k}
-	ci := int32(len(s.cards))
-	s.cards = append(s.cards, c)
-	for _, l := range lits {
-		s.cardOcc[l] = append(s.cardOcc[l], ci)
-	}
+	s.cards = append(s.cards, card{lits: lits, k: int32(k)})
+	s.indexCards(len(s.cards) - 1)
 	return true
 }
 
-func (s *solver) attach(c *clause) {
-	s.watches[c.lits[0]] = append(s.watches[c.lits[0]], watcher{c, c.lits[1]})
-	s.watches[c.lits[1]] = append(s.watches[c.lits[1]], watcher{c, c.lits[0]})
+// indexCards rebuilds the card occurrence lists with cards[from:]
+// appended, in order, to the lists of their literals. The rebuilt lists
+// get fresh arrays, so lists shared with other solvers are never written.
+func (s *solver) indexCards(from int) {
+	next := make([]int32, len(s.occStart)) // per literal: cards to add, then the next free slot
+	total := len(s.occ)
+	for _, c := range s.cards[from:] {
+		for _, l := range c.lits {
+			next[l]++
+		}
+		total += len(c.lits)
+	}
+	occ := make([]int32, total)
+	start := make([]int32, len(s.occStart))
+	off := int32(0)
+	for l := range len(start) - 1 {
+		start[l] = off
+		off += int32(copy(occ[off:], s.cardsOf(lit(l))))
+		next[l], off = off, off+next[l]
+	}
+	start[len(start)-1] = off
+	for ci := from; ci < len(s.cards); ci++ {
+		for _, l := range s.cards[ci].lits {
+			occ[next[l]] = int32(ci)
+			next[l]++
+		}
+	}
+	s.occStart, s.occ = start, occ
+}
+
+func (s *solver) attach(cr int32) {
+	lits := s.ca[cr].lits
+	s.watches[lits[0]] = append(s.watches[lits[0]], watcher{cr, lits[1]})
+	s.watches[lits[1]] = append(s.watches[lits[1]], watcher{cr, lits[0]})
 }
 
 // conflictRef identifies the constraint a conflict arose from: a clause
 // or a card index. The zero-ish value noConflict means none — passing it
 // by value keeps the propagation loop allocation-free.
 type conflictRef struct {
-	cl *clause
+	cl int32
 	cd int32
 }
 
-var noConflict = conflictRef{cl: nil, cd: -1}
+var noConflict = conflictRef{cl: noClause, cd: -1}
 
 // none reports the absence of a conflict.
-func (c conflictRef) none() bool { return c.cl == nil && c.cd < 0 }
+func (c conflictRef) none() bool { return c.cl < 0 && c.cd < 0 }
 
 // propagate performs unit propagation over clauses and counter
 // propagation over cards; it returns the conflicting constraint or
@@ -275,25 +298,25 @@ func (s *solver) propagate() conflictRef {
 		out := ws[:0]
 		for wi := 0; wi < len(ws); wi++ {
 			w := ws[wi]
-			if s.value(w.blocker) == lTrue {
+			if s.vals[w.blocker] == lTrue {
 				out = append(out, w)
 				continue
 			}
-			c := w.c
-			if c.lits[0] == fl {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			lits := s.ca[w.c].lits
+			if lits[0] == fl {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
 			// Now lits[1] == fl (false).
-			first := c.lits[0]
-			if first != w.blocker && s.value(first) == lTrue {
-				out = append(out, watcher{c, first})
+			first := lits[0]
+			if first != w.blocker && s.vals[first] == lTrue {
+				out = append(out, watcher{w.c, first})
 				continue
 			}
 			found := false
-			for i := 2; i < len(c.lits); i++ {
-				if s.value(c.lits[i]) != lFalse {
-					c.lits[1], c.lits[i] = c.lits[i], c.lits[1]
-					s.watches[c.lits[1]] = append(s.watches[c.lits[1]], watcher{c, first})
+			for i := 2; i < len(lits); i++ {
+				if s.vals[lits[i]] != lFalse {
+					lits[1], lits[i] = lits[i], lits[1]
+					s.watches[lits[1]] = append(s.watches[lits[1]], watcher{w.c, first})
 					found = true
 					break
 				}
@@ -302,30 +325,30 @@ func (s *solver) propagate() conflictRef {
 				continue // watcher moved
 			}
 			// Unit or conflict.
-			out = append(out, watcher{c, first})
-			if s.value(first) == lFalse {
+			out = append(out, watcher{w.c, first})
+			if s.vals[first] == lFalse {
 				// Conflict: keep remaining watchers, restore list.
 				out = append(out, ws[wi+1:]...)
 				s.watches[fl] = out
 				s.qhead = len(s.trail)
-				return conflictRef{cl: c, cd: -1}
+				return conflictRef{cl: w.c, cd: -1}
 			}
-			s.enqueue(first, c, -1)
+			s.enqueue(first, w.c, -1)
 		}
 		s.watches[fl] = out
 
 		// Cardinality checks: literal p just became true (its counts
 		// were already bumped at enqueue time).
-		for _, ci := range s.cardOcc[p] {
-			c := s.cards[ci]
+		for _, ci := range s.cardsOf(p) {
+			c := &s.cards[ci]
 			if c.count > c.k {
 				s.qhead = len(s.trail)
-				return conflictRef{cl: nil, cd: ci}
+				return conflictRef{cl: noClause, cd: ci}
 			}
 			if c.count == c.k {
 				for _, l := range c.lits {
-					if s.value(l) == lUndef {
-						s.enqueue(l.neg(), nil, ci)
+					if s.vals[l] == lUndef {
+						s.enqueue(l.neg(), noClause, ci)
 					}
 				}
 			}
@@ -343,15 +366,15 @@ func (s *solver) cancelUntil(lvl int) {
 	for i := len(s.trail) - 1; i >= end; i-- {
 		p := s.trail[i]
 		v := p.vi()
-		s.phase[v] = s.assigns[v] == lTrue
-		// Trail literals are true by construction; undo their card
-		// counts (mirror of enqueue).
-		for _, ci := range s.cardOcc[p] {
+		// Trail literals are true by construction: the variable's value
+		// is p's polarity. Undo their card counts (mirror of enqueue).
+		s.phase[v] = !p.sign()
+		for _, ci := range s.cardsOf(p) {
 			s.cards[ci].count--
 		}
-		s.assigns[v] = lUndef
-		s.reasonCl[v] = nil
-		s.reasonCd[v] = -1
+		s.vals[p] = lUndef
+		s.vals[p.neg()] = lUndef
+		s.vd[v].cl, s.vd[v].cd = noClause, -1
 		s.heap.push(v)
 	}
 	s.trail = s.trail[:end]
@@ -362,16 +385,16 @@ func (s *solver) cancelUntil(lvl int) {
 // reasonLits materialises the implication clause of an assigned literal p
 // (p is its first element) or, with p == litUndef, of a conflicting
 // constraint.
-func (s *solver) reasonLits(p lit, rc *clause, rd int32, buf []lit) []lit {
+func (s *solver) reasonLits(p lit, rc int32, rd int32, buf []lit) []lit {
 	buf = buf[:0]
-	if rc != nil {
-		return append(buf, rc.lits...)
+	if rc >= 0 {
+		return append(buf, s.ca[rc].lits...)
 	}
 	if p != litUndef {
 		buf = append(buf, p)
 	}
 	for _, l := range s.cards[rd].lits {
-		if s.value(l) == lTrue {
+		if s.vals[l] == lTrue {
 			buf = append(buf, l.neg())
 		}
 	}
@@ -396,12 +419,12 @@ func (s *solver) analyze(confl conflictRef) (learnt []lit, btLevel int) {
 				continue
 			}
 			v := q.vi()
-			if s.seen[v] || s.level[v] == 0 {
+			if s.seen[v] || s.vd[v].level == 0 {
 				continue
 			}
 			s.seen[v] = true
 			s.bumpVar(v)
-			if int(s.level[v]) >= s.decisionLevel() {
+			if int(s.vd[v].level) >= s.decisionLevel() {
 				pathC++
 			} else {
 				work = append(work, q)
@@ -418,7 +441,7 @@ func (s *solver) analyze(confl conflictRef) (learnt []lit, btLevel int) {
 			break
 		}
 		v := p.vi()
-		reason = s.reasonLits(p, s.reasonCl[v], s.reasonCd[v], reason)
+		reason = s.reasonLits(p, s.vd[v].cl, s.vd[v].cd, reason)
 	}
 	work[0] = p.neg()
 	s.reasonBuf = reason
@@ -433,8 +456,8 @@ func (s *solver) analyze(confl conflictRef) (learnt []lit, btLevel int) {
 	buf := s.minBuf
 	for _, q := range original {
 		v := q.vi()
-		rc, rd := s.reasonCl[v], s.reasonCd[v]
-		if rc == nil && rd < 0 {
+		rc, rd := s.vd[v].cl, s.vd[v].cd
+		if rc < 0 && rd < 0 {
 			kept = append(kept, q) // decision literal
 			continue
 		}
@@ -444,7 +467,7 @@ func (s *solver) analyze(confl conflictRef) (learnt []lit, btLevel int) {
 			if r == q.neg() {
 				continue
 			}
-			if !s.seen[r.vi()] && s.level[r.vi()] != 0 {
+			if !s.seen[r.vi()] && s.vd[r.vi()].level != 0 {
 				redundant = false
 				break
 			}
@@ -460,8 +483,8 @@ func (s *solver) analyze(confl conflictRef) (learnt []lit, btLevel int) {
 	btLevel = 0
 	maxI := 1
 	for i := 1; i < len(kept); i++ {
-		if int(s.level[kept[i].vi()]) > btLevel {
-			btLevel = int(s.level[kept[i].vi()])
+		if int(s.vd[kept[i].vi()].level) > btLevel {
+			btLevel = int(s.vd[kept[i].vi()].level)
 			maxI = i
 		}
 	}
@@ -492,42 +515,47 @@ func (s *solver) decayActivities() {
 	s.claInc /= 0.999
 }
 
-func (s *solver) bumpClause(c *clause) {
+func (s *solver) bumpClause(cr int32) {
+	c := &s.ca[cr]
 	c.act += s.claInc
 	if c.act > 1e20 {
 		for _, lc := range s.learnts {
-			lc.act *= 1e-20
+			s.ca[lc].act *= 1e-20
 		}
 		s.claInc *= 1e-20
 	}
 }
 
-// locked reports whether c is the reason of a current assignment.
-func (s *solver) locked(c *clause) bool {
-	v := c.lits[0].vi()
-	return s.reasonCl[v] == c && s.assigns[v] != lUndef
+// locked reports whether clause cr is the reason of a current
+// assignment.
+func (s *solver) locked(cr int32) bool {
+	v := s.ca[cr].lits[0].vi()
+	return s.vd[v].cl == cr && s.assigned(v)
 }
 
-// reduceDB removes roughly half of the least active learnt clauses.
+// reduceDB removes roughly half of the least active learnt clauses and
+// releases their slab slots.
 func (s *solver) reduceDB() {
-	sort.Slice(s.learnts, func(i, j int) bool { return s.learnts[i].act > s.learnts[j].act })
+	sort.Slice(s.learnts, func(i, j int) bool { return s.ca[s.learnts[i]].act > s.ca[s.learnts[j]].act })
 	kept := s.learnts[:0]
 	limit := len(s.learnts) / 2
-	for i, c := range s.learnts {
-		if i < limit || s.locked(c) || len(c.lits) == 2 {
-			kept = append(kept, c)
+	for i, cr := range s.learnts {
+		if i < limit || s.locked(cr) || len(s.ca[cr].lits) == 2 {
+			kept = append(kept, cr)
 			continue
 		}
-		s.detach(c)
+		s.detach(cr)
+		s.ca[cr] = clause{}
+		s.free = append(s.free, cr)
 	}
 	s.learnts = kept
 }
 
-func (s *solver) detach(c *clause) {
-	for _, l := range c.lits[:2] {
+func (s *solver) detach(cr int32) {
+	for _, l := range s.ca[cr].lits[:2] {
 		ws := s.watches[l]
 		for i, w := range ws {
-			if w.c == c {
+			if w.c == cr {
 				ws[i] = ws[len(ws)-1]
 				s.watches[l] = ws[:len(ws)-1]
 				break
@@ -563,11 +591,11 @@ func (s *solver) learnConflict(confl conflictRef) bool {
 			return false
 		}
 	} else {
-		c := &clause{lits: learnt, learnt: true}
-		s.learnts = append(s.learnts, c)
-		s.attach(c)
-		s.bumpClause(c)
-		s.enqueue(learnt[0], c, -1)
+		cr := s.newClause(learnt)
+		s.learnts = append(s.learnts, cr)
+		s.attach(cr)
+		s.bumpClause(cr)
+		s.enqueue(learnt[0], cr, -1)
 	}
 	s.decayActivities()
 	return true
@@ -576,12 +604,13 @@ func (s *solver) learnConflict(confl conflictRef) bool {
 // propCheckInterval bounds how many unit propagations may pass between
 // context checks. Conflict-driven checks alone (every 1024 conflicts) can
 // ignore a deadline for a long time on propagation-heavy instances where
-// conflicts are rare; see TestCancellationLatency.
-const propCheckInterval = 100_000
+// conflicts are rare; see TestCancellationLatency. At ~10M propagations
+// per second on a mapping model this is about a millisecond.
+const propCheckInterval = 10_000
 
 // search runs the CDCL loop until SAT (lTrue), UNSAT (lFalse) or context
 // cancellation (lUndef). Cancellation is observed on three clocks:
-// every 1024 conflicts, every ~100k propagations, and at every restart.
+// every 1024 conflicts, every 10k propagations, and at every restart.
 func (s *solver) search(ctx context.Context) lbool {
 	if !s.ok {
 		return lFalse
@@ -649,7 +678,7 @@ func (s *solver) search(ctx context.Context) lbool {
 		}
 		s.decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.enqueue(mkLit(v, !s.phase[v]), nil, -1)
+		s.enqueue(mkLit(v, !s.phase[v]), noClause, -1)
 	}
 }
 
@@ -659,7 +688,7 @@ func (s *solver) pickBranchVar() int {
 		if v < 0 {
 			return -1
 		}
-		if s.assigns[v] == lUndef {
+		if !s.assigned(v) {
 			return v
 		}
 	}
@@ -676,9 +705,24 @@ func (h *varHeap) init(s *solver) {
 	h.s = s
 	h.pos = make([]int32, s.nVars)
 	h.heap = make([]int32, 0, s.nVars)
-	for v := 0; v < s.nVars; v++ {
+	h.fill()
+}
+
+// fill puts every variable back in index order.
+func (h *varHeap) fill() {
+	h.heap = h.heap[:0]
+	for v := 0; v < h.s.nVars; v++ {
 		h.pos[v] = int32(v)
 		h.heap = append(h.heap, int32(v))
+	}
+}
+
+// rebuild refills the heap and restores heap order after activities
+// changed wholesale.
+func (h *varHeap) rebuild() {
+	h.fill()
+	for i := len(h.heap)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
 }
 
