@@ -31,7 +31,6 @@ import (
 	"cgramap/internal/ilp"
 	"cgramap/internal/mapper"
 	"cgramap/internal/mrrg"
-	"cgramap/internal/portfolio"
 	"cgramap/internal/sched"
 	"cgramap/internal/service"
 	"cgramap/internal/sim"
@@ -184,7 +183,7 @@ func AnnealMap(ctx context.Context, g *DFG, m *MRRG, opts AnnealOptions) (*Annea
 // NewCDCLSolver returns the default propagation-based ILP engine.
 func NewCDCLSolver() Solver { return cdcl.New() }
 
-// NewParallelCDCLSolver returns a clause-sharing portfolio of diversified
+// NewParallelCDCLSolver returns a clause-sharing gang of diversified
 // CDCL workers racing on the same formulation. workers <= 1 (or an empty
 // worker budget) degrades to the sequential engine; with seed fixed and
 // workers == 1 the run is bit-identical to NewCDCLSolver. Extra workers
@@ -195,7 +194,7 @@ func NewParallelCDCLSolver(workers int, seed int64) Solver {
 
 // SetWorkerBudget caps the number of extra solver workers the whole
 // process may run concurrently — shared by parallel gangs, speculative
-// MapAuto sweeps, portfolio races and the job service. The default is
+// MapAuto sweeps and the job service. The default is
 // $CGRAMAP_WORKERS or the CPU count.
 func SetWorkerBudget(n int) { budget.SetGlobal(n) }
 
@@ -206,33 +205,9 @@ func WorkerBudgetSize() int { return budget.Global().Size() }
 // (tractable on small instances; used for cross-checking).
 func NewBranchBoundSolver() Solver { return bb.New() }
 
-// Portfolio orchestration: race the exact engines (and optionally the
-// annealing heuristic) under a shared deadline, containing panics and
-// retrying transient failures. See internal/portfolio.
-type (
-	// PortfolioOptions configures a portfolio race.
-	PortfolioOptions = portfolio.Options
-	// PortfolioResult is a mapping result annotated with the winning
-	// strategy, whether the answer is a proof, and per-strategy reports.
-	PortfolioResult = portfolio.Result
-	// PortfolioReport describes one strategy's fate in a race.
-	PortfolioReport = portfolio.Report
-	// MapFunc is a drop-in replacement for the direct mapping pipeline
-	// (see MapOptions.MapWith).
-	MapFunc = mapper.MapFunc
-)
-
-// MapPortfolio maps with the resilient portfolio orchestrator: all exact
-// engines race, losers are cancelled, panics are contained, and (unless
-// disabled) the annealer provides a clearly-labelled heuristic fallback.
-func MapPortfolio(ctx context.Context, g *DFG, m *MRRG, opts PortfolioOptions) (*PortfolioResult, error) {
-	return portfolio.Map(ctx, g, m, opts)
-}
-
-// PortfolioMapFunc adapts portfolio options into a MapFunc, so MapAuto
-// and the experiment sweeps can route every attempt through the
-// orchestrator via MapOptions.MapWith.
-func PortfolioMapFunc(opts PortfolioOptions) MapFunc { return portfolio.MapFunc(opts) }
+// MapFunc is a drop-in replacement for the direct mapping pipeline (see
+// MapOptions.MapWith).
+type MapFunc = mapper.MapFunc
 
 // Fault injection: a Solver decorator that exercises the robustness of
 // everything above the solver seam. See internal/faultinject.

@@ -26,9 +26,8 @@ import (
 	"cgramap/internal/ilp"
 	"cgramap/internal/mapper"
 	"cgramap/internal/mrrg"
-	"cgramap/internal/portfolio"
+	"cgramap/internal/service"
 	"cgramap/internal/sim"
-	"cgramap/internal/solve/bb"
 	"cgramap/internal/visual"
 )
 
@@ -38,7 +37,7 @@ type runOpts struct {
 	rows, cols, contexts         int
 	diagonal, hetero             bool
 	objective, engine            string
-	fallback, useSA              bool
+	useSA                        bool
 	knobs                        mapper.Flags
 	autoII                       int
 	timeout                      time.Duration
@@ -58,8 +57,7 @@ func main() {
 	flag.BoolVar(&o.diagonal, "diagonal", false, "diagonal interconnect")
 	flag.BoolVar(&o.hetero, "heterogeneous", false, "multipliers in only half the blocks")
 	flag.StringVar(&o.objective, "objective", "feasibility", "feasibility | routing (minimise routing resources)")
-	flag.StringVar(&o.engine, "engine", "cdcl", "ILP engine: cdcl | bb | portfolio (race all engines under the timeout)")
-	flag.BoolVar(&o.fallback, "fallback", true, "portfolio only: degrade to the annealing heuristic when no exact engine decides")
+	flag.StringVar(&o.engine, "engine", "cdcl", "ILP engine: cdcl | bb")
 	flag.BoolVar(&o.useSA, "anneal", false, "use the simulated-annealing mapper instead of ILP")
 	o.knobs.Register(flag.CommandLine, "", "")
 	o.knobs.RegisterReuse(flag.CommandLine)
@@ -118,12 +116,8 @@ func run(o runOpts) (int, error) {
 	default:
 		return exitError, fmt.Errorf("unknown objective %q", o.objective)
 	}
-	switch o.engine {
-	case "cdcl", "portfolio":
-	case "bb":
-		opts.Solver = bb.New()
-	default:
-		return exitError, fmt.Errorf("unknown engine %q", o.engine)
+	if opts, err = service.EngineOptions(opts, o.engine, ""); err != nil {
+		return exitError, err
 	}
 	if o.useSA && o.autoII > 0 {
 		return exitError, fmt.Errorf("-auto-ii requires an exact engine (a heuristic cannot prove an II minimal)")
@@ -181,39 +175,9 @@ func run(o runOpts) (int, error) {
 	}
 
 	start := time.Now()
-	var res *mapper.Result
-	if o.engine == "portfolio" {
-		pres, err := portfolio.Map(ctx, g, mg, portfolio.Options{
-			Timeout:         o.timeout,
-			DisableFallback: !o.fallback,
-			Mapper:          opts,
-		})
-		if err != nil {
-			return exitError, err
-		}
-		for _, rep := range pres.Reports {
-			note := ""
-			if rep.Winner {
-				note = "  <- winner"
-			} else if rep.Cancelled {
-				note = "  (cancelled)"
-			}
-			if rep.Panics > 0 {
-				note += fmt.Sprintf("  [%d panics contained]", rep.Panics)
-			}
-			fmt.Printf("portfolio: %-12s %-10v %d attempt(s) in %v%s\n",
-				rep.Strategy, rep.Status, rep.Attempts, rep.Elapsed.Round(time.Millisecond), note)
-		}
-		if pres.Degraded() {
-			fmt.Println("portfolio: DEGRADED — heuristic witness only, no optimality or infeasibility proof")
-		}
-		res = pres.Result
-	} else {
-		var err error
-		res, err = mapper.Map(ctx, g, mg, opts)
-		if err != nil {
-			return exitError, err
-		}
+	res, err := mapper.Map(ctx, g, mg, opts)
+	if err != nil {
+		return exitError, err
 	}
 	return reportResult(res, g, o, o.timeout, time.Since(start))
 }
@@ -221,11 +185,6 @@ func run(o runOpts) (int, error) {
 // runAutoII sweeps the II ladder for the provably smallest initiation
 // interval, sequentially or speculatively.
 func runAutoII(ctx context.Context, g *dfg.Graph, a *arch.Arch, o runOpts, opts mapper.Options) (int, error) {
-	if o.engine == "portfolio" {
-		// Exact engines only inside the ladder: a heuristic miss at some
-		// II proves nothing about that II.
-		opts.MapWith = portfolio.MapFunc(portfolio.Options{DisableFallback: true})
-	}
 	start := time.Now()
 	auto, err := mapper.MapAuto(ctx, g, a, o.autoII, opts)
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"cgramap/internal/mapper"
+	"cgramap/internal/service"
 )
 
 func TestLoadDFG(t *testing.T) {
@@ -61,7 +63,7 @@ func TestRunLPExport(t *testing.T) {
 	dir := t.TempDir()
 	lp := filepath.Join(dir, "m.lp")
 	code, err := run(runOpts{benchName: "2x2-f", rows: 4, cols: 4, contexts: 1, diagonal: true,
-		objective: "feasibility", engine: "cdcl", fallback: true, timeout: time.Minute, lpOut: lp, quiet: true})
+		objective: "feasibility", engine: "cdcl", timeout: time.Minute, lpOut: lp, quiet: true})
 	if err != nil || code != exitOK {
 		t.Fatal(code, err)
 	}
@@ -88,7 +90,7 @@ func TestRunLPExportWriteFailure(t *testing.T) {
 	stdout := os.Stdout
 	os.Stdout = w
 	code, runErr := run(runOpts{benchName: "2x2-f", rows: 4, cols: 4, contexts: 1, diagonal: true,
-		objective: "feasibility", engine: "cdcl", fallback: true, timeout: time.Minute, lpOut: "/dev/full", quiet: true})
+		objective: "feasibility", engine: "cdcl", timeout: time.Minute, lpOut: "/dev/full", quiet: true})
 	os.Stdout = stdout
 	w.Close()
 	out, err := io.ReadAll(r)
@@ -105,22 +107,22 @@ func TestRunLPExportWriteFailure(t *testing.T) {
 
 func TestRunSolveSmall(t *testing.T) {
 	code, err := run(runOpts{benchName: "2x2-f", rows: 4, cols: 4, contexts: 2, diagonal: true,
-		objective: "feasibility", engine: "cdcl", fallback: true, timeout: 2 * time.Minute,
+		objective: "feasibility", engine: "cdcl", timeout: 2 * time.Minute,
 		quiet: true, showCfg: true, validate: true, floorplan: true})
 	if err != nil || code != exitOK {
 		t.Fatal(code, err)
 	}
 	// Bad flag values.
 	if code, err := run(runOpts{benchName: "2x2-f", rows: 4, cols: 4, contexts: 1,
-		objective: "zorp", engine: "cdcl", fallback: true, timeout: time.Minute, quiet: true}); err == nil || code != exitError {
+		objective: "zorp", engine: "cdcl", timeout: time.Minute, quiet: true}); err == nil || code != exitError {
 		t.Error("bad objective accepted")
 	}
 	if code, err := run(runOpts{benchName: "2x2-f", rows: 4, cols: 4, contexts: 1,
-		objective: "feasibility", engine: "zorp", fallback: true, timeout: time.Minute, quiet: true}); err == nil || code != exitError {
+		objective: "feasibility", engine: "zorp", timeout: time.Minute, quiet: true}); err == nil || code != exitError {
 		t.Error("bad engine accepted")
 	}
 	if code, err := run(runOpts{benchName: "2x2-f", rows: 4, cols: 4, contexts: 1, knobs: mapper.Flags{Workers: -1},
-		objective: "feasibility", engine: "cdcl", fallback: true, timeout: time.Minute, quiet: true}); err == nil || code != exitError {
+		objective: "feasibility", engine: "cdcl", timeout: time.Minute, quiet: true}); err == nil || code != exitError {
 		t.Error("negative -workers accepted")
 	}
 }
@@ -130,18 +132,19 @@ func TestRunSolveSmall(t *testing.T) {
 // -contexts count.
 func TestRunAnnealRejectsAutoII(t *testing.T) {
 	code, err := run(runOpts{benchName: "2x2-f", rows: 2, cols: 2, contexts: 2, diagonal: true, useSA: true, autoII: 4,
-		objective: "feasibility", engine: "cdcl", fallback: true, timeout: time.Minute, quiet: true})
+		objective: "feasibility", engine: "cdcl", timeout: time.Minute, quiet: true})
 	if err == nil || code != exitError || !strings.Contains(err.Error(), "-auto-ii requires an exact engine") {
 		t.Errorf("-anneal -auto-ii: code %d, err %v; want exit %d with the exact-engine error", code, err, exitError)
 	}
 }
 
-func TestRunSolvePortfolio(t *testing.T) {
+// TestRunPortfolioRemoved: the removed portfolio engine is a usage error
+// whose message names the replacements.
+func TestRunPortfolioRemoved(t *testing.T) {
 	code, err := run(runOpts{benchName: "2x2-f", rows: 2, cols: 2, contexts: 2, diagonal: true,
-		objective: "feasibility", engine: "portfolio", fallback: true, knobs: mapper.Flags{Workers: 2, Seed: 7},
-		timeout: time.Minute, quiet: true})
-	if err != nil || code != exitOK {
-		t.Fatal(code, err)
+		objective: "feasibility", engine: "portfolio", timeout: time.Minute, quiet: true})
+	if code != exitError || !errors.Is(err, service.ErrPortfolioRemoved) {
+		t.Errorf("-engine portfolio: code %d, err %v; want exit %d with %v", code, err, exitError, service.ErrPortfolioRemoved)
 	}
 }
 
@@ -164,7 +167,7 @@ func TestRunExitInfeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	code, err := run(runOpts{dfgFile: path, rows: 2, cols: 2, contexts: 1, diagonal: true,
-		objective: "feasibility", engine: "cdcl", fallback: true, timeout: time.Minute, quiet: true})
+		objective: "feasibility", engine: "cdcl", timeout: time.Minute, quiet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +180,7 @@ func TestRunExitInfeasible(t *testing.T) {
 // which must surface as exit status 3, not as infeasibility.
 func TestRunExitUnknown(t *testing.T) {
 	code, err := run(runOpts{benchName: "mac", rows: 4, cols: 4, contexts: 2, diagonal: true,
-		objective: "feasibility", engine: "cdcl", fallback: true, timeout: time.Nanosecond, quiet: true})
+		objective: "feasibility", engine: "cdcl", timeout: time.Nanosecond, quiet: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,7 +119,6 @@ type sweepConfig struct {
 	benchList *string
 	verbose   *bool
 	engine    *string
-	fallback  *bool
 	daemon    *string
 	knobs     *mapper.Flags
 }
@@ -131,22 +130,19 @@ func sweepFlags(fs *flag.FlagSet) sweepConfig {
 		timeout:   fs.Duration("timeout", 60*time.Second, "per-instance solver timeout"),
 		benchList: fs.String("benchmarks", "", "comma-separated benchmark subset (default: all 19)"),
 		verbose:   fs.Bool("v", false, "print per-instance progress to stderr"),
-		engine:    fs.String("engine", "cdcl", "ILP engine per cell: cdcl | bb | portfolio"),
-		fallback:  fs.Bool("fallback", false, "portfolio only: let cells degrade to heuristic witnesses"),
+		engine:    fs.String("engine", "cdcl", "ILP engine per cell: cdcl | bb"),
 		daemon:    fs.String("daemon", "", "offload every solve to a cgramapd server at this URL (duplicate instances across sweeps hit its cache)"),
 		knobs:     knobs,
 	}
 }
 
 // mapperOptions translates the engine flags into per-cell mapper options.
-// The portfolio engine rides the cell's own deadline, so no separate
-// timeout is set here.
 func (c sweepConfig) mapperOptions() (mapper.Options, error) {
 	opts, err := c.knobs.Options()
 	if err != nil {
 		return opts, err
 	}
-	return service.EngineOptions(opts, *c.engine, *c.daemon, *c.fallback)
+	return service.EngineOptions(opts, *c.engine, *c.daemon)
 }
 
 func parseBenchList(s string) ([]string, error) {

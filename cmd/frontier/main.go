@@ -123,12 +123,11 @@ func runFrontier(args []string, stdout io.Writer) error {
 	fabrics := fs.String("fabrics", "", "fabric list, e.g. \"8x8:diag;8x8:diag,hetero\" (default: the standard ladder)")
 	iis := fs.String("iis", "", "comma-separated IIs per fabric (default: each fabric's own context count)")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-probe budget; a timeout counts as unmappable")
-	engine := fs.String("engine", "cdcl", "solver per probe: cdcl | bb | portfolio")
+	engine := fs.String("engine", "cdcl", "solver per probe: cdcl | bb")
 	daemon := fs.String("daemon", "", "solve via a cgramapd server at this URL instead of in-process")
 	knobs := mapper.Flags{Workers: 1, ArtifactCache: 32}
 	knobs.Register(fs, "", "solver-seed")
 	knobs.RegisterReuse(fs)
-	fallback := fs.Bool("fallback", false, "portfolio only: allow heuristic witnesses")
 	verbose := fs.Bool("v", false, "print per-probe progress to stderr")
 	jsonOut := fs.String("json", "", "write the frontier as JSON to this file (\"-\" = stdout)")
 	mdOut := fs.String("md", "", "write the frontier as markdown to this file (\"-\" = stdout)")
@@ -162,7 +161,7 @@ func runFrontier(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if mOpts, err = service.EngineOptions(mOpts, *engine, *daemon, *fallback); err != nil {
+	if mOpts, err = service.EngineOptions(mOpts, *engine, *daemon); err != nil {
 		return err
 	}
 	opts := workload.FrontierOptions{Timeout: *timeout, Mapper: mOpts}

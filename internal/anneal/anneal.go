@@ -71,10 +71,10 @@ type Result struct {
 	// Moves and Accepted count annealing moves.
 	Moves, Accepted int
 	// Status aligns the heuristic with the ILP engines' solve statuses
-	// so orchestrators (internal/portfolio) can treat all strategies
-	// uniformly: Feasible when a legal mapping was found, Unknown
-	// otherwise — a heuristic can prove neither infeasibility nor
-	// optimality.
+	// so callers (the job service's anneal engine and degraded lane)
+	// report all engines uniformly: Feasible when a legal mapping was
+	// found, Unknown otherwise — a heuristic can prove neither
+	// infeasibility nor optimality.
 	Status ilp.Status
 	// Stats carries counters ("moves", "accepted") plus "cancelled"
 	// when the context ended the schedule early — the same cancellation

@@ -1,7 +1,7 @@
 // Package budget provides the process-wide solver worker budget: a
 // counting semaphore of CPU tokens shared by every component that fans
 // work out across goroutines (the parallel CDCL engine, the speculative
-// auto-II sweep, the portfolio racer, and the service's job workers).
+// auto-II sweep, and the service's job workers).
 //
 // The budget exists so that layered parallelism composes instead of
 // multiplying: a daemon running W concurrent jobs, each job speculating

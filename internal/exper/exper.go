@@ -71,8 +71,8 @@ type SweepOptions struct {
 	Benchmarks []string
 	Specs      []arch.GridSpec
 	// Mapper carries mapper options (engine, objective, ablations). Set
-	// Mapper.MapWith (e.g. portfolio.MapFunc) to route every cell
-	// through an orchestrator instead of the direct pipeline.
+	// Mapper.MapWith (e.g. a service client's MapFunc) to route every
+	// cell through a remote daemon instead of the direct pipeline.
 	Mapper mapper.Options
 	// Progress, when non-nil, receives one line per completed cell.
 	Progress io.Writer

@@ -5,10 +5,10 @@
 //
 // It exists to prove, end to end, that everything above the solver seam
 // degrades instead of breaking: the mapper's decode/Verify gate must
-// reject every corrupted solution, the experiment sweeps must keep going
-// past a wedged or crashing instance, and the portfolio orchestrator must
-// contain panics and retry transient stalls. The injector is safe for
-// concurrent use (the portfolio races solvers on parallel goroutines).
+// reject every corrupted solution, and the experiment and frontier
+// sweeps must keep going past a wedged or crashing instance. The
+// injector is safe for concurrent use (speculative II lanes and the job
+// server's workers solve on parallel goroutines).
 package faultinject
 
 import (

@@ -50,8 +50,8 @@ func MapAuto(ctx context.Context, g *dfg.Graph, a *arch.Arch, maxII int, opts Op
 	if opts.Symmetry == SymmetryAuto {
 		// The ladder's cost is dominated by proving low IIs infeasible
 		// — the regime where symmetry breaking pays — so auto resolves
-		// to on. The resolved mode flows through every attempt,
-		// speculative lane and portfolio retry below.
+		// to on. The resolved mode flows through every attempt and
+		// speculative lane below.
 		opts.Symmetry = SymmetryOn
 	}
 	if opts.Artifacts == nil {

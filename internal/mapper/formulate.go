@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"cgramap/internal/arch"
 	"cgramap/internal/dfg"
@@ -49,8 +48,8 @@ type formulation struct {
 	// proven infeasible during construction (presolve / pruning).
 	infeasible string
 
-	// reserved is the capacity a cold stamp reserved up front (zero
-	// on warm stamps, which use the template's size hints).
+	// reserved is the capacity the stamp reserved up front from
+	// stamper.coldSize, before emitting anything.
 	reserved modelSize
 }
 
@@ -70,7 +69,7 @@ type kindSlots struct {
 
 // Template is the II-independent half of the ILP formulation for one
 // (DFG, architecture) pair. It is immutable after construction and safe
-// for concurrent stamping: speculative II lanes and portfolio retries
+// for concurrent stamping: speculative II lanes and concurrent jobs
 // may call Stamp simultaneously, each drawing its own scratch from the
 // pool.
 type Template struct {
@@ -115,14 +114,6 @@ type Template struct {
 	// approxBytes estimates the retained size for artifact-cache
 	// capacity accounting.
 	approxBytes int64
-
-	// hintVars/hintCons/hintTerms remember the largest model any stamp
-	// of this template has produced, so repeat stamps (the warm half of
-	// an II ladder) pre-size the model's backing arrays instead of
-	// growing them append by append; a cold stamp sizes them from
-	// stamper.coldSize instead. Capacity only — reservation never
-	// changes the emitted model.
-	hintVars, hintCons, hintTerms atomic.Int64
 
 	scratch sync.Pool // *stamper
 }
@@ -317,12 +308,8 @@ func (s *stamper) run() error {
 		}
 	}
 
-	if n := t.hintVars.Load(); n > 0 {
-		f.model.Reserve(int(n), int(t.hintCons.Load()), int(t.hintTerms.Load()))
-	} else {
-		f.reserved = s.coldSize(allowed)
-		f.model.Reserve(f.reserved.vars, f.reserved.cons, f.reserved.terms)
-	}
+	f.reserved = s.coldSize(allowed)
+	f.model.Reserve(f.reserved.vars, f.reserved.cons, f.reserved.terms)
 	s.createVars(allowed)
 	s.addPlacementConstraints()
 	s.addRoutingConstraints()
@@ -338,28 +325,7 @@ func (s *stamper) run() error {
 			}
 		}
 	}
-	if err := f.model.Validate(); err != nil {
-		return err
-	}
-	terms := 0
-	for i := range f.model.Constraints {
-		terms += len(f.model.Constraints[i].Terms)
-	}
-	storeMax(&t.hintVars, int64(f.model.NumVars()))
-	storeMax(&t.hintCons, int64(len(f.model.Constraints)))
-	storeMax(&t.hintTerms, int64(terms))
-	return nil
-}
-
-// storeMax raises a to v unless a concurrent stamp already recorded a
-// larger model.
-func storeMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+	return f.model.Validate()
 }
 
 // sortedKeys returns m's keys ascending, reusing buf.
@@ -596,12 +562,11 @@ func (s *stamper) refineLegal(allowed [][][]bool) {
 }
 
 // coldSize sizes the model about to be emitted from the legal
-// placements and allowed route sets alone, so a stamp with no size hint
-// still fills its backing arrays without regrowing them. The F and R
-// variable counts are exact; constraints and terms are bounded from
-// above by mirroring the emission loops below. Only an FU fanout's term
-// in (5) and the symmetry chains, SE variables included, are counted at
-// their maximum.
+// placements and allowed route sets alone, so every stamp fills its
+// backing arrays without regrowing them. The F and R variable counts
+// are exact; constraints and terms are bounded from above by mirroring
+// the emission loops below. Only an FU fanout's term in (5) and the
+// symmetry chains, SE variables included, are counted at their maximum.
 func (s *stamper) coldSize(allowed [][][]bool) modelSize {
 	g, mg := s.t.g, s.mg
 	n := len(mg.Nodes)

@@ -26,9 +26,9 @@ const (
 )
 
 // Options configures the ILP mapper. It is also the one value every
-// layer above the mapper — MapAuto, the portfolio racer, the experiment
-// and frontier sweeps, the job service and the command-line tools (see
-// Flags) — passes the speed knobs in.
+// layer above the mapper — MapAuto, the experiment and frontier sweeps,
+// the job service and the command-line tools (see Flags) — passes the
+// speed knobs in.
 //
 // The speed knobs are Workers, Seed, Symmetry, Budget and Artifacts.
 // They change how fast an answer arrives, never what it is: feasibility
@@ -77,12 +77,11 @@ type Options struct {
 	Artifacts *ArtifactCache
 	// MapWith, when non-nil, replaces Map's own build-and-solve
 	// pipeline — for every caller of Map, including MapAuto's rungs and
-	// the experiment and frontier sweeps. It is the seam that lets an
-	// orchestrator above the formulation (the portfolio racer with its
-	// annealing fallback, a remote daemon's client) slot in without an
-	// import cycle; neither fits behind ilp.Solver. Map clears the field
-	// before invoking it, so the replacement may itself call Map with
-	// the options it receives.
+	// the experiment and frontier sweeps. It is the seam that lets a
+	// remote daemon's client slot in above the formulation without an
+	// import cycle; it does not fit behind ilp.Solver. Map clears the
+	// field before invoking it, so the replacement may itself call Map
+	// with the options it receives.
 	MapWith MapFunc
 }
 

@@ -5,9 +5,9 @@
 //
 // A submission names a DFG, an architecture, and a mapper configuration.
 // Jobs flow through a bounded queue into a fixed worker pool that drives
-// the existing engines (cdcl, bb, the portfolio orchestrator, or the
-// annealer) with a per-job context and deadline. In front of the workers
-// sits a content-addressed result cache: the canonical fingerprint of
+// the existing engines (cdcl, bb, or the annealer) with a per-job
+// context and deadline. In front of the workers sits a
+// content-addressed result cache: the canonical fingerprint of
 // (DFG structure, architecture structure, engine options) — stable under
 // node renaming and insertion order — keys an LRU of completed results,
 // and single-flight deduplication coalesces concurrent identical
@@ -25,6 +25,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,17 +40,32 @@ import (
 	"cgramap/internal/ilp"
 	"cgramap/internal/mapper"
 	"cgramap/internal/mrrg"
-	"cgramap/internal/portfolio"
 	"cgramap/internal/solve/bb"
 )
 
 // Engine names accepted by job submissions.
 const (
-	EngineCDCL      = "cdcl"
-	EngineBB        = "bb"
-	EnginePortfolio = "portfolio"
-	EngineAnneal    = "anneal"
+	EngineCDCL   = "cdcl"
+	EngineBB     = "bb"
+	EngineAnneal = "anneal"
 )
+
+// ErrPortfolioRemoved answers every request for the deleted "portfolio"
+// engine, from the job server and from the CLIs alike.
+var ErrPortfolioRemoved = errors.New(`engine "portfolio" has been removed: use "cdcl" ` +
+	`(a clause-sharing gang with -workers, or cgramapd -solve-workers) ` +
+	`or "anneal" for a heuristic witness`)
+
+// checkEngine accepts engine if it is one of allowed.
+func checkEngine(engine string, allowed ...string) error {
+	switch {
+	case slices.Contains(allowed, engine):
+		return nil
+	case engine == "portfolio":
+		return ErrPortfolioRemoved
+	}
+	return fmt.Errorf("unknown engine %q", engine)
+}
 
 // JobState is a job's lifecycle state.
 type JobState string
@@ -86,7 +103,7 @@ type JobRequest struct {
 	// interval up to this bound (mapper.MapAuto) instead of solving at
 	// a fixed context count.
 	AutoII int `json:"auto_ii,omitempty"`
-	// Engine selects cdcl (default), bb, portfolio, or anneal.
+	// Engine selects cdcl (default), bb, or anneal.
 	Engine string `json:"engine,omitempty"`
 	// Symmetry controls symmetry-breaking constraints: "auto" (default:
 	// on for auto-II ladders, off at a fixed context count), "on" or
@@ -128,9 +145,7 @@ type JobResult struct {
 	// Proven is true when the answer is a proof from a complete engine;
 	// a heuristic witness is verified but proves nothing beyond
 	// feasibility.
-	Proven bool `json:"proven"`
-	// Winner names the portfolio strategy that produced the answer.
-	Winner string `json:"winner,omitempty"`
+	Proven bool   `json:"proven"`
 	Reason string `json:"reason,omitempty"`
 	// II is the initiation interval found by an auto-II search.
 	II          int     `json:"ii,omitempty"`
@@ -500,10 +515,8 @@ func (s *Server) ParseRequest(req *JobRequest) (*JobSpec, error) {
 	if engine == "" {
 		engine = EngineCDCL
 	}
-	switch engine {
-	case EngineCDCL, EngineBB, EnginePortfolio, EngineAnneal:
-	default:
-		return nil, errf(400, "unknown engine %q", engine)
+	if err := checkEngine(engine, EngineCDCL, EngineBB, EngineAnneal); err != nil {
+		return nil, errf(400, "%v", err)
 	}
 	if engine == EngineAnneal && req.AutoII > 0 {
 		return nil, errf(400, "auto_ii requires an exact engine (a heuristic cannot prove an II minimal)")
@@ -818,7 +831,7 @@ func (s *Server) runExec(ex *exec) {
 		defer capCancel()
 	}
 	start := time.Now()
-	res, err := s.opts.Solve(ctx, ex.spec)
+	res, err := s.contain(ctx, ex, s.opts.Solve)
 	elapsed := time.Since(start)
 	if ctx.Err() == context.DeadlineExceeded {
 		s.Metrics.DeadlineExceeded.Add(1)
@@ -832,6 +845,20 @@ func (s *Server) runExec(ex *exec) {
 			ex.fp[:8], ex.spec.DFG.Name, ex.spec.Arch.Name, err)
 	}
 	s.complete(ex, res, err)
+}
+
+// contain runs one solve of ex, turning a panic into the job's error
+// (with the stack logged), so a crashing solver fails its jobs instead
+// of killing the server.
+func (s *Server) contain(ctx context.Context, ex *exec, solve func(context.Context, *JobSpec) (*JobResult, error)) (res *JobResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.opts.Logf("service: job %s (%s on %s) solver panicked: %v\n%s",
+				ex.fp[:8], ex.spec.DFG.Name, ex.spec.Arch.Name, r, debug.Stack())
+			res, err = nil, fmt.Errorf("solver panicked: %v", r)
+		}
+	}()
+	return solve(ctx, ex.spec)
 }
 
 // begin marks every job attached to ex running. It returns false when
@@ -921,7 +948,7 @@ func (s *Server) runDegraded(ex *exec) {
 	}
 	ctx, cancel := context.WithDeadline(ex.ctx, deadline)
 	start := time.Now()
-	res, err := s.opts.SolveDegraded(ctx, ex.spec)
+	res, err := s.contain(ctx, ex, s.opts.SolveDegraded)
 	cancel()
 	s.Metrics.ObserveSolve("degraded", time.Since(start))
 	if err == nil && res != nil {
@@ -985,18 +1012,11 @@ func RunSpec(ctx context.Context, spec *JobSpec) (*JobResult, error) {
 	case EngineCDCL:
 	case EngineBB:
 		mo.Solver = bb.New()
-	case EnginePortfolio:
 	default:
 		return nil, fmt.Errorf("service: unknown engine %q", spec.Engine)
 	}
 
 	if spec.AutoII > 0 {
-		if spec.Engine == EnginePortfolio {
-			// Exact engines only inside the auto-II loop: a heuristic
-			// miss at some II proves nothing, which would poison the
-			// "smallest feasible II" claim.
-			mo.MapWith = portfolio.MapFunc(portfolio.Options{DisableFallback: true})
-		}
 		auto, err := mapper.MapAuto(ctx, spec.DFG, spec.Arch, spec.AutoII, mo)
 		if err != nil {
 			return nil, err
@@ -1011,16 +1031,6 @@ func RunSpec(ctx context.Context, spec *JobSpec) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if spec.Engine == EnginePortfolio {
-		pres, err := portfolio.Map(ctx, spec.DFG, mg, portfolio.Options{Mapper: mo})
-		if err != nil {
-			return nil, err
-		}
-		fillFromMapperResult(out, pres.Result)
-		out.Winner = pres.Winner
-		out.Proven = pres.Proven && pres.Status != ilp.Unknown
-		return out, nil
-	}
 	res, err := mapper.Map(ctx, spec.DFG, mg, mo)
 	if err != nil {
 		return nil, err
@@ -1031,9 +1041,8 @@ func RunSpec(ctx context.Context, spec *JobSpec) (*JobResult, error) {
 }
 
 // RunSpecDegraded is the degraded lane's default dispatch: one short
-// simulated-annealing run — the same labelled fallback the portfolio
-// degrades to when every exact engine times out. It is the default
-// Options.SolveDegraded.
+// simulated-annealing run, labelled as a heuristic witness. It is the
+// default Options.SolveDegraded.
 func RunSpecDegraded(ctx context.Context, spec *JobSpec) (*JobResult, error) {
 	mg, err := specMRRG(spec)
 	if err != nil {
@@ -1058,17 +1067,14 @@ func RunSpecDegraded(ctx context.Context, spec *JobSpec) (*JobResult, error) {
 	return out, nil
 }
 
-// EngineOptions routes opts through the named exact engine (cdcl, bb or
-// portfolio) the way the sweep tools select it. With a daemon URL every
-// solve goes to that cgramapd server instead, under the same engine name,
-// after failing fast if the server is not healthy within 10 s; the
-// server then solves with its own knobs. fallback lets local portfolio
-// races degrade to labelled heuristic witnesses.
-func EngineOptions(opts mapper.Options, engine, daemon string, fallback bool) (mapper.Options, error) {
-	switch engine {
-	case EngineCDCL, EngineBB, EnginePortfolio:
-	default:
-		return opts, fmt.Errorf("unknown engine %q", engine)
+// EngineOptions routes opts through the named exact engine (cdcl or bb)
+// the way the CLIs select it. With a daemon URL every solve goes to that
+// cgramapd server instead, under the same engine name, after failing
+// fast if the server is not healthy within 10 s; the server then solves
+// with its own knobs.
+func EngineOptions(opts mapper.Options, engine, daemon string) (mapper.Options, error) {
+	if err := checkEngine(engine, EngineCDCL, EngineBB); err != nil {
+		return opts, err
 	}
 	switch {
 	case daemon != "":
@@ -1081,8 +1087,6 @@ func EngineOptions(opts mapper.Options, engine, daemon string, fallback bool) (m
 		opts.MapWith = client.MapFunc(engine)
 	case engine == EngineBB:
 		opts.Solver = bb.New()
-	case engine == EnginePortfolio:
-		opts.MapWith = portfolio.MapFunc(portfolio.Options{DisableFallback: !fallback})
 	}
 	return opts, nil
 }

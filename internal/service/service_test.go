@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -546,7 +547,7 @@ func TestFingerprintSemantics(t *testing.T) {
 	if fp(func(r *JobRequest) { r.DeadlineMS = 12345 }) != ref {
 		t.Error("deadline leaked into the job fingerprint")
 	}
-	if fp(func(r *JobRequest) { r.Engine = EnginePortfolio }) == ref {
+	if fp(func(r *JobRequest) { r.Engine = EngineBB }) == ref {
 		t.Error("engine not part of the job fingerprint")
 	}
 	if fp(func(r *JobRequest) { r.Objective = "routing" }) == ref {
@@ -687,6 +688,133 @@ func TestUnknownNotCached(t *testing.T) {
 	}
 }
 
+// TestPortfolioEngineRejected: a job naming the removed portfolio engine
+// gets a 400 over HTTP whose message names the replacements.
+func TestPortfolioEngineRejected(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	req := gridReq(2)
+	req.Engine = "portfolio"
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var msg struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&msg); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || msg.Error != ErrPortfolioRemoved.Error() {
+		t.Errorf("portfolio job: %d %q, want 400 %q", resp.StatusCode, msg.Error, ErrPortfolioRemoved)
+	}
+	for _, want := range []string{`"cdcl"`, "-solve-workers", `"anneal"`} {
+		if !strings.Contains(msg.Error, want) {
+			t.Errorf("message %q does not name %s", msg.Error, want)
+		}
+	}
+}
+
+// TestSolverPanicContained: a solve that panics, in the exact lane or
+// the degraded lane, fails its job with the panic value and logs the
+// stack. Nothing is cached, the busy-worker gauge returns to zero, and
+// the lane keeps serving.
+func TestSolverPanicContained(t *testing.T) {
+	var (
+		logMu  sync.Mutex
+		logged strings.Builder
+		boomFP string
+		solves atomic.Int64
+	)
+	block := make(chan struct{})
+	running := make(chan struct{}, 1)
+	s := New(Options{
+		Workers:           1,
+		QueueDepth:        1,
+		DegradeOnOverload: true,
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			defer logMu.Unlock()
+			fmt.Fprintf(&logged, format+"\n", args...)
+		},
+		Solve: func(ctx context.Context, spec *JobSpec) (*JobResult, error) {
+			solves.Add(1)
+			switch {
+			case spec.Fingerprint == boomFP:
+				panic("boom")
+			case spec.Arch.Contexts == 3:
+				running <- struct{}{}
+				<-block
+			}
+			return fakeResult("ok"), nil
+		},
+		SolveDegraded: func(ctx context.Context, spec *JobSpec) (*JobResult, error) {
+			panic("degraded boom")
+		},
+	})
+	defer func() { close(block); s.Shutdown(context.Background()) }()
+	spec, err := s.ParseRequest(gridReq(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	boomFP = spec.Fingerprint
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	run := func(req *JobRequest) *JobStatus {
+		t.Helper()
+		st, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final, err := s.Wait(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return final
+	}
+
+	for i := 0; i < 2; i++ {
+		if st := run(gridReq(1)); st.State != JobFailed || st.Error != "solver panicked: boom" || st.CacheHit {
+			t.Errorf("panicking job %d: %+v", i, st)
+		}
+	}
+	if n := solves.Load(); n != 2 {
+		t.Errorf("solves = %d, want 2 (a panicked job must not be cached)", n)
+	}
+	if st := run(gridReq(2)); st.State != JobDone {
+		t.Errorf("job after a panic: %+v", st)
+	}
+	if n := s.Metrics.WorkersBusy.Load(); n != 0 {
+		t.Errorf("WorkersBusy = %d after the solves ended, want 0", n)
+	}
+
+	// Saturate the exact lane (one running, one queued) so the next job
+	// goes to the degraded lane, whose solve panics too.
+	if _, err := s.Submit(gridReq(3)); err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	if _, err := s.Submit(gridReq(4)); err != nil {
+		t.Fatal(err)
+	}
+	if st := run(gridReq(5)); !st.Degraded || st.State != JobFailed || st.Error != "solver panicked: degraded boom" {
+		t.Errorf("panicking degraded job: %+v", st)
+	}
+
+	logMu.Lock()
+	defer logMu.Unlock()
+	if out := logged.String(); !strings.Contains(out, "solver panicked: boom") || !strings.Contains(out, "runtime/debug.Stack") {
+		t.Errorf("panic or stack not logged:\n%s", out)
+	}
+}
+
 // mustInstance rebuilds the DFG and architecture a JobRequest names, the
 // way a local orchestrator holding in-memory values would have them.
 func mustInstance(t *testing.T, req *JobRequest) (*dfg.Graph, *arch.Arch) {
@@ -739,26 +867,26 @@ func wantMetric(t *testing.T, text, name string, want int) {
 }
 
 // TestEngineOptions: engine names route the sweep tools' mapper options
-// to the right solver or orchestrator, locally or through a daemon.
+// to the right solver, locally or through a daemon.
 func TestEngineOptions(t *testing.T) {
 	base := mapper.Options{Seed: 3}
-	if _, err := EngineOptions(base, "zorp", "", false); err == nil {
+	if _, err := EngineOptions(base, "zorp", ""); err == nil {
 		t.Error("unknown engine accepted")
 	}
-	if o, err := EngineOptions(base, EngineCDCL, "", false); err != nil || o.Solver != nil || o.MapWith != nil || o.Seed != 3 {
+	if _, err := EngineOptions(base, "portfolio", ""); !errors.Is(err, ErrPortfolioRemoved) {
+		t.Errorf("portfolio: %v, want ErrPortfolioRemoved", err)
+	}
+	if o, err := EngineOptions(base, EngineCDCL, ""); err != nil || o.Solver != nil || o.MapWith != nil || o.Seed != 3 {
 		t.Errorf("cdcl: %+v, %v", o, err)
 	}
-	if o, err := EngineOptions(base, EngineBB, "", false); err != nil || o.Solver == nil {
+	if o, err := EngineOptions(base, EngineBB, ""); err != nil || o.Solver == nil {
 		t.Errorf("bb: %+v, %v", o, err)
-	}
-	if o, err := EngineOptions(base, EnginePortfolio, "", false); err != nil || o.MapWith == nil {
-		t.Errorf("portfolio: %+v, %v", o, err)
 	}
 	s := New(Options{Workers: 1})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	if o, err := EngineOptions(base, EngineBB, ts.URL, false); err != nil || o.MapWith == nil || o.Solver != nil {
+	if o, err := EngineOptions(base, EngineBB, ts.URL); err != nil || o.MapWith == nil || o.Solver != nil {
 		t.Errorf("daemon: %+v, %v", o, err)
 	}
 }

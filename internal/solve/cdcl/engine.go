@@ -16,8 +16,7 @@ type Engine struct {
 	// variable activities get a small jitter (breaking ties under the
 	// model's branch priorities) and saved phases start random. Distinct
 	// seeds give effectively independent restarts of the same complete
-	// search, which is what the portfolio racer's reseeded strategies
-	// and backoff-and-reseed retries rely on.
+	// search, which is what the parallel gang's lanes rely on.
 	Seed int64
 }
 

@@ -67,8 +67,7 @@ var (
 )
 
 // mixSeed derives a worker lane's seed from the base seed with a
-// splitmix64-style finalizer (the same construction the portfolio racer
-// uses for attempt reseeds). Lane 0 returns the base unchanged, so the
+// splitmix64-style finalizer. Lane 0 returns the base unchanged, so the
 // flagship worker is bit-compatible with Engine{Seed: base}.
 func mixSeed(base int64, lane int) int64 {
 	if lane == 0 {

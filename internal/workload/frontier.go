@@ -55,9 +55,8 @@ type FrontierOptions struct {
 	// that times out counts as unmappable: the frontier charts what the
 	// stack decides within budget, mirroring the paper's "T" cells.
 	Timeout time.Duration
-	// Mapper carries per-probe mapper options. Set Mapper.MapWith
-	// (portfolio.MapFunc, or a service client's MapFunc for a remote
-	// daemon) to route probes through an orchestrator.
+	// Mapper carries per-probe mapper options. Set Mapper.MapWith (a
+	// service client's MapFunc) to route probes to a remote daemon.
 	Mapper mapper.Options
 	// Progress, when non-nil, receives one line per probe.
 	Progress io.Writer
