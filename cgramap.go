@@ -183,15 +183,6 @@ func AnnealMap(ctx context.Context, g *DFG, m *MRRG, opts AnnealOptions) (*Annea
 // NewCDCLSolver returns the default propagation-based ILP engine.
 func NewCDCLSolver() Solver { return cdcl.New() }
 
-// NewParallelCDCLSolver returns a clause-sharing gang of diversified
-// CDCL workers racing on the same formulation. workers <= 1 (or an empty
-// worker budget) degrades to the sequential engine; with seed fixed and
-// workers == 1 the run is bit-identical to NewCDCLSolver. Extra workers
-// draw tokens from the process-wide budget (SetWorkerBudget).
-func NewParallelCDCLSolver(workers int, seed int64) Solver {
-	return cdcl.NewParallel(workers, seed)
-}
-
 // SetWorkerBudget caps the number of extra solver workers the whole
 // process may run concurrently — shared by parallel gangs, speculative
 // MapAuto sweeps and the job service. The default is

@@ -151,7 +151,7 @@ func run(o runOpts) (int, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), o.timeout)
 	defer cancel()
 	if o.useSA {
-		res, err := anneal.Map(ctx, g, mg, anneal.Options{})
+		res, err := anneal.Map(ctx, g, mg, anneal.Options{Seed: opts.Seed})
 		if err != nil {
 			return exitError, err
 		}
@@ -162,12 +162,7 @@ func run(o runOpts) (int, error) {
 		}
 		fmt.Printf("status: feasible (annealing, %d moves, routing cost %d)\n",
 			res.Moves, res.Mapping.RoutingCost())
-		if !o.quiet {
-			if err := res.Mapping.Write(os.Stdout); err != nil {
-				return exitError, err
-			}
-		}
-		return exitOK, nil
+		return postProcess(res.Mapping, g, o)
 	}
 
 	if o.autoII > 0 {
@@ -183,7 +178,7 @@ func run(o runOpts) (int, error) {
 }
 
 // runAutoII sweeps the II ladder for the provably smallest initiation
-// interval, sequentially or speculatively.
+// interval.
 func runAutoII(ctx context.Context, g *dfg.Graph, a *arch.Arch, o runOpts, opts mapper.Options) (int, error) {
 	start := time.Now()
 	auto, err := mapper.MapAuto(ctx, g, a, o.autoII, opts)
@@ -220,41 +215,39 @@ func reportResult(res *mapper.Result, g *dfg.Graph, o runOpts, timeout, elapsed 
 		fmt.Printf("status: %s in %v (%d vars, %d constraints, routing cost %d)\n",
 			res.Status, elapsed.Round(time.Millisecond),
 			res.Vars, res.Constraints, res.Mapping.RoutingCost())
-		if !o.quiet {
-			if err := res.Mapping.Write(os.Stdout); err != nil {
-				return exitError, err
-			}
-		}
-		if err := postProcess(res.Mapping, g, o.showCfg, o.validate, o.floorplan); err != nil {
-			return exitError, err
-		}
-		return exitOK, nil
+		return postProcess(res.Mapping, g, o)
 	}
 }
 
-// postProcess optionally prints the floor plan and fabric configuration,
-// and validates the mapping by simulation.
-func postProcess(m *mapper.Mapping, g *dfg.Graph, showCfg, validate, floorplan bool) error {
-	if floorplan {
-		if err := visual.WriteGrid(os.Stdout, m); err != nil {
-			return err
+// postProcess prints a found mapping (unless quiet), optionally its floor
+// plan and fabric configuration, and validates it by simulation, for
+// exact and annealed mappings alike.
+func postProcess(m *mapper.Mapping, g *dfg.Graph, o runOpts) (int, error) {
+	if !o.quiet {
+		if err := m.Write(os.Stdout); err != nil {
+			return exitError, err
 		}
 	}
-	if !showCfg && !validate {
-		return nil
+	if o.floorplan {
+		if err := visual.WriteGrid(os.Stdout, m); err != nil {
+			return exitError, err
+		}
+	}
+	if !o.showCfg && !o.validate {
+		return exitOK, nil
 	}
 	cfg, err := config.Extract(m)
 	if err != nil {
-		return err
+		return exitError, err
 	}
-	if showCfg {
+	if o.showCfg {
 		if err := cfg.Render(os.Stdout); err != nil {
-			return err
+			return exitError, err
 		}
 	}
-	if validate {
+	if o.validate {
 		if !g.Acyclic() {
-			return fmt.Errorf("-validate requires an acyclic DFG")
+			return exitError, fmt.Errorf("-validate requires an acyclic DFG")
 		}
 		inputs := sim.DefaultInputs(g, 7)
 		mem := map[uint32]uint32{}
@@ -262,11 +255,11 @@ func postProcess(m *mapper.Mapping, g *dfg.Graph, showCfg, validate, floorplan b
 			mem[a] = 2*a + 1
 		}
 		if err := sim.Validate(m, inputs, mem); err != nil {
-			return err
+			return exitError, err
 		}
 		fmt.Println("validated: simulated configuration matches DFG evaluation")
 	}
-	return nil
+	return exitOK, nil
 }
 
 func loadDFG(dfgFile, benchName string) (*dfg.Graph, error) {

@@ -138,6 +138,32 @@ func TestRunAnnealRejectsAutoII(t *testing.T) {
 	}
 }
 
+// TestRunAnnealValidates: an annealed mapping goes through the same
+// post-processing as an exact one, so -validate simulates it.
+func TestRunAnnealValidates(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	code, runErr := run(runOpts{benchName: "2x2-f", rows: 2, cols: 2, contexts: 2, diagonal: true, useSA: true,
+		knobs: mapper.Flags{Seed: 5}, objective: "feasibility", engine: "cdcl", timeout: time.Minute,
+		quiet: true, validate: true})
+	os.Stdout = stdout
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runErr != nil || code != exitOK {
+		t.Fatalf("exit %d, error %v\n%s", code, runErr, out)
+	}
+	if !strings.Contains(string(out), "validated:") {
+		t.Errorf("-anneal -validate did not validate:\n%s", out)
+	}
+}
+
 // TestRunPortfolioRemoved: the removed portfolio engine is a usage error
 // whose message names the replacements.
 func TestRunPortfolioRemoved(t *testing.T) {

@@ -29,14 +29,18 @@ type Options struct {
 	Seed int64
 	// MovesPerTemp is the inner-loop move count per temperature step.
 	MovesPerTemp int
-	// InitialTemp, Cooling and MinTemp define the geometric schedule.
+	// InitialTemp starts the geometric schedule, which multiplies the
+	// temperature by cooling each step until it falls to minTemp.
 	InitialTemp float64
-	Cooling     float64
-	MinTemp     float64
-	// OverusePenalty is the starting congestion penalty; it grows each
-	// temperature step.
-	OverusePenalty float64
 }
+
+// The schedule's fixed parameters: cooling rate, final temperature, and
+// the starting congestion penalty, which grows each temperature step.
+const (
+	cooling        = 0.85
+	minTemp        = 0.05
+	overusePenalty = 2
+)
 
 func (o *Options) fill() {
 	if o.Seed == 0 {
@@ -47,15 +51,6 @@ func (o *Options) fill() {
 	}
 	if o.InitialTemp == 0 {
 		o.InitialTemp = 30
-	}
-	if o.Cooling == 0 {
-		o.Cooling = 0.85
-	}
-	if o.MinTemp == 0 {
-		o.MinTemp = 0.05
-	}
-	if o.OverusePenalty == 0 {
-		o.OverusePenalty = 2
 	}
 }
 
@@ -134,12 +129,12 @@ func Map(ctx context.Context, g *dfg.Graph, mg *mrrg.Graph, opts Options) (*Resu
 		return (&Result{}).finish(false), nil //nolint:nilerr // unmappable kind: heuristic just fails
 	}
 	s.randomPlacement()
-	s.penalty = opts.OverusePenalty
+	s.penalty = overusePenalty
 	s.rerouteAll()
 	cost := s.cost()
 
 	res := &Result{}
-	for temp := opts.InitialTemp; temp > opts.MinTemp; temp *= opts.Cooling {
+	for temp := opts.InitialTemp; temp > minTemp; temp *= cooling {
 		for i := 0; i < opts.MovesPerTemp; i++ {
 			if ctx.Err() != nil {
 				return res.finish(true), nil

@@ -2,6 +2,7 @@ package anneal
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -58,19 +59,31 @@ func TestAnnealUnsupportedKind(t *testing.T) {
 }
 
 func TestAnnealDeterministicPerSeed(t *testing.T) {
-	mg := gridMRRG(t, arch.GridSpec{Rows: 4, Cols: 4, Interconnect: arch.Orthogonal, Homogeneous: true, Contexts: 1})
-	g := bench.MustGet("accum")
-	ctx := context.Background()
-	r1, err := Map(ctx, g, mg, Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Map(ctx, bench.MustGet("accum"), mg, Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Feasible != r2.Feasible || r1.Moves != r2.Moves || r1.Cost != r2.Cost {
-		t.Errorf("same seed diverged: %+v vs %+v", r1, r2)
+	for _, c := range []struct {
+		kernel string
+		opts   Options
+		spec   arch.GridSpec
+	}{
+		{"accum", Options{Seed: 7}, arch.GridSpec{Rows: 4, Cols: 4, Interconnect: arch.Orthogonal, Homogeneous: true, Contexts: 1}},
+		// Routing trees here grow over several sinks, so Dijkstra's
+		// start order must not depend on map iteration.
+		{"mac", Options{Seed: 1, MovesPerTemp: 40}, arch.GridSpec{Rows: 4, Cols: 4, Interconnect: arch.Diagonal, Contexts: 1}},
+	} {
+		mg := gridMRRG(t, c.spec)
+		g := bench.MustGet(c.kernel)
+		ctx := context.Background()
+		r1, err := Map(ctx, g, mg, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := Map(ctx, bench.MustGet(c.kernel), mg, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r1.Feasible != r2.Feasible || r1.Moves != r2.Moves || r1.Cost != r2.Cost ||
+			r1.Feasible && !reflect.DeepEqual(r1.Mapping.Placement, r2.Mapping.Placement) {
+			t.Errorf("%s: same seed diverged: %+v vs %+v", c.kernel, r1, r2)
+		}
 	}
 }
 

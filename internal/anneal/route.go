@@ -64,7 +64,10 @@ func (s *state) rerouteAll() {
 func (s *state) route(valID int) {
 	v := s.g.Vals()[valID]
 	src := s.mg.Nodes[s.place[v.Def.ID]].OutNode
-	inTree := map[int]bool{}
+	// The value's tree so far, in insertion order (it may repeat a
+	// node): a map here would feed Dijkstra its starts in random order
+	// and break per-seed reproducibility.
+	var inTree []int
 	claimedPorts := map[int]bool{}
 	for k, u := range v.Uses {
 		sinkFU := s.place[u.Op.ID]
@@ -81,15 +84,10 @@ func (s *state) route(valID int) {
 		// verification purposes each sub-route must contain a full
 		// source-to-sink path, so include the tree nodes it grafted
 		// onto.
-		full := append([]int(nil), path...)
-		for n := range inTree {
-			full = append(full, n)
-		}
+		full := append(append([]int(nil), path...), inTree...)
 		sort.Ints(full)
 		s.routes[valID][k] = dedupe(full)
-		for _, n := range path {
-			inTree[n] = true
-		}
+		inTree = append(inTree, path...)
 	}
 	for _, n := range s.unionNodes(valID) {
 		s.usage[n]++
@@ -129,7 +127,7 @@ func (q *pq) Pop() interface{} {
 // src (or any node already in this value's tree) to the first node
 // satisfying goal. It returns the node path including the start node, or
 // nil.
-func (s *state) shortestPath(src int, inTree map[int]bool, valID int, goal func(*mrrg.Node) bool) []int {
+func (s *state) shortestPath(src int, inTree []int, valID int, goal func(*mrrg.Node) bool) []int {
 	dist := map[int]float64{}
 	prev := map[int]int{}
 	var q pq
@@ -140,7 +138,7 @@ func (s *state) shortestPath(src int, inTree map[int]bool, valID int, goal func(
 		}
 	}
 	push(src, 0)
-	for n := range inTree {
+	for _, n := range inTree {
 		push(n, 0)
 		prev[n] = -1
 	}

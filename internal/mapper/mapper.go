@@ -48,10 +48,10 @@ type Options struct {
 	// pigeonhole-infeasible instances through the solver.
 	DisablePresolve bool
 	// Workers requests parallelism of this width: Map runs a
-	// clause-sharing CDCL gang (when Solver is nil), and MapAuto
-	// additionally speculates on several candidate IIs concurrently.
-	// Values <= 1 keep both fully sequential; with Workers <= 1 and a
-	// fixed Seed every run is bit-identical.
+	// clause-sharing CDCL gang this wide (when Solver is nil), and
+	// MapAuto's II window holds this many candidate IIs at once. Values
+	// <= 1 give width 1, a sequential search and sweep; with Workers <= 1
+	// and a fixed Seed every run is bit-identical.
 	Workers int
 	// Seed fixes the solver's search trajectory (and derives the
 	// diversified trajectories of a parallel gang).
@@ -86,20 +86,12 @@ type Options struct {
 }
 
 // engine returns the solver Map runs: Solver when set, otherwise the CDCL
-// engine the knobs select — a clause-sharing gang for Workers > 1, a
-// seeded trajectory for a non-zero Seed.
+// engine with the knobs' gang width, seed and budget.
 func (o Options) engine() ilp.Solver {
-	switch {
-	case o.Solver != nil:
+	if o.Solver != nil {
 		return o.Solver
-	case o.Workers > 1:
-		pe := cdcl.NewParallel(o.Workers, o.Seed)
-		pe.Budget = o.Budget
-		return pe
-	case o.Seed != 0:
-		return cdcl.NewSeeded(o.Seed)
 	}
-	return cdcl.New()
+	return &cdcl.Engine{Workers: o.Workers, Seed: o.Seed, Budget: o.Budget}
 }
 
 // MapFunc is the signature of Map. Orchestrators provide drop-in

@@ -993,7 +993,7 @@ func RunSpec(ctx context.Context, spec *JobSpec) (*JobResult, error) {
 			return nil, err
 		}
 		start := time.Now()
-		res, err := anneal.Map(ctx, spec.DFG, mg, anneal.Options{})
+		res, err := anneal.Map(ctx, spec.DFG, mg, anneal.Options{Seed: spec.Mapper.Seed})
 		if err != nil {
 			return nil, err
 		}

@@ -8,12 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"cgramap/internal/anneal"
 	"cgramap/internal/arch"
 	"cgramap/internal/bench"
 	"cgramap/internal/dfg"
@@ -656,6 +658,40 @@ func TestKnobThreading(t *testing.T) {
 			mo.Artifacts != cache || mo.Objective != mapper.Feasibility {
 			t.Errorf("symmetry %q: spec options %+v", sym, mo)
 		}
+	}
+}
+
+// TestAnnealJobUsesServerSeed: the server's seed reaches an anneal job,
+// which answers with the mapping anneal.Map gives for that seed.
+func TestAnnealJobUsesServerSeed(t *testing.T) {
+	s := New(Options{Workers: 1, Seed: 5})
+	defer s.Shutdown(context.Background())
+	req := gridReq(2)
+	req.Engine = EngineAnneal
+	st, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := s.Wait(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Result(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, a := mustInstance(t, req)
+	mg, err := mrrg.Generate(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := anneal.Map(ctx, g, mg, anneal.Options{Seed: 5})
+	if err != nil || !want.Feasible {
+		t.Fatalf("reference anneal: %v, feasible %v", err, want != nil && want.Feasible)
+	}
+	if !reflect.DeepEqual(got.Mapping, want.Mapping.Portable()) {
+		t.Errorf("anneal job mapping differs from anneal.Map with seed 5:\n got %+v\nwant %+v", got.Mapping, want.Mapping.Portable())
 	}
 }
 

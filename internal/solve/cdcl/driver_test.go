@@ -27,7 +27,7 @@ func hintedModel(seed int64) *ilp.Model {
 	return m
 }
 
-// TestEngineTrajectoryPinned pins the scratch engine's search trajectory:
+// TestEngineTrajectoryPinned pins the one-lane engine's search trajectory:
 // a digest of status, objective, assignment and every counter over fixed
 // models, unseeded and seeded. Moving it changes which instances a fixed
 // budget decides, so update the digest only for an intended change to
@@ -55,7 +55,7 @@ func TestEngineTrajectoryPinned(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
 		for _, m := range []*ilp.Model{randomUnitModel(seed), hintedModel(seed)} {
 			record(New().Solve(ctx, m))
-			record(NewSeeded(seed+1).Solve(ctx, m))
+			record((&Engine{Seed: seed + 1}).Solve(ctx, m))
 		}
 	}
 	for n := 3; n <= 6; n++ {
@@ -64,16 +64,15 @@ func TestEngineTrajectoryPinned(t *testing.T) {
 			m.SetBranchPriority(ilp.Var(v), 1)
 		}
 		record(New().Solve(ctx, m))
-		record(NewSeeded(int64(n)).Solve(ctx, m))
+		record((&Engine{Seed: int64(n)}).Solve(ctx, m))
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("scratch trajectory digest = %s, want %s", got, want)
 	}
 }
 
-// TestFrontEndsAgree: the two front ends of the shared driver — a
-// scratch engine and a clause-sharing gang — agree on status and optimal
-// objective.
+// TestFrontEndsAgree: a one-lane engine and a three-lane clause-sharing
+// gang agree on status and optimal objective.
 func TestFrontEndsAgree(t *testing.T) {
 	ctx := context.Background()
 	gangs := budget.New(8)
@@ -83,8 +82,7 @@ func TestFrontEndsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par := NewParallel(3, seed)
-		par.Budget = gangs
+		par := &Engine{Workers: 3, Seed: seed, Budget: gangs}
 		got, err := par.Solve(ctx, m)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -247,7 +247,7 @@ func TestLoadMatchesReference(t *testing.T) {
 func TestGangLanesCloneCompile(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		m := loadModel(seed)
-		e := &ParallelEngine{Seed: seed}
+		e := &Engine{Seed: seed}
 		g, err := e.load(m, nil, 4)
 		if err != nil {
 			continue

@@ -1,66 +1,17 @@
 package cdcl
 
 import (
+	"cmp"
 	"context"
 	"sync"
+	"sync/atomic"
 
-	"cgramap/internal/budget"
 	"cgramap/internal/ilp"
 )
 
-// ParallelEngine solves unit-coefficient 0-1 ILP models with a gang of
-// diversified CDCL workers exchanging learnt clauses — the ManySAT-style
-// multicore counterpart of Engine. Each worker runs the same complete
-// search over the same formula but from a different trajectory
-// (branching seed, VSIDS decay, saved-phase polarity, restart schedule);
-// workers export short learnt clauses into a bounded shared pool and
-// import their peers' clauses at restart boundaries. The first worker to
-// reach a definitive answer — a satisfying model or an unsatisfiability
-// proof — wins and cancels the rest. Both outcomes stay proofs: every
-// shared clause is a logical consequence of the common formula, so the
-// gang is as complete as a single solver.
-//
-// Worker count: Workers is a request, not a demand. One worker always
-// runs on the caller's goroutine budget; each additional worker must win
-// a token from Budget (default: the process-wide budget.Global pool), so
-// layered parallelism — a daemon's job pool above, speculative auto-II
-// sweeps beside — degrades to narrower gangs instead of oversubscribing
-// the machine.
-//
-// Determinism: with Workers <= 1 the engine delegates to the sequential
-// Engine with the same seed, producing bit-identical results (same
-// assignment, same stats). With more workers the winning trajectory is
-// a race and stats vary run to run, but the answer itself (and, for
-// optimisation models, the optimal objective value) is unique.
-//
-// It implements ilp.Solver.
-type ParallelEngine struct {
-	// Workers is the requested gang size (see above; values <= 1 select
-	// the sequential engine).
-	Workers int
-	// Seed drives worker 0's trajectory exactly like Engine.Seed; the
-	// other workers derive their diversification seeds from it, so a
-	// fixed Seed makes the whole gang's trajectories reproducible.
-	Seed int64
-	// ShareMaxLen caps the length of exported clauses (default 8):
-	// short clauses prune the most per byte shipped.
-	ShareMaxLen int
-	// Budget pays for workers beyond the first; nil selects the
-	// process-wide budget.Global pool.
-	Budget *budget.Pool
-}
-
-// NewParallel returns a ParallelEngine with the given gang size and base
-// seed.
-func NewParallel(workers int, seed int64) *ParallelEngine {
-	return &ParallelEngine{Workers: workers, Seed: seed}
-}
-
-var _ ilp.Solver = (*ParallelEngine)(nil)
-
 // Per-worker diversification tables (index = worker lane mod table
-// length). Lane 0 keeps the sequential defaults so that the flagship
-// trajectory is exactly the one the sequential engine would run.
+// length). Lane 0 keeps the solver defaults so that the flagship
+// trajectory is exactly the one a one-lane gang runs.
 var (
 	laneDecay   = []float64{0.95, 0.85, 0.99, 0.75, 0.93, 0.88, 0.97, 0.80}
 	laneRestart = []int64{100, 50, 300, 150, 700, 80, 200, 40}
@@ -68,7 +19,7 @@ var (
 
 // mixSeed derives a worker lane's seed from the base seed with a
 // splitmix64-style finalizer. Lane 0 returns the base unchanged, so the
-// flagship worker is bit-compatible with Engine{Seed: base}.
+// flagship worker is bit-compatible with a one-lane Engine{Seed: base}.
 func mixSeed(base int64, lane int) int64 {
 	if lane == 0 {
 		return base
@@ -86,38 +37,14 @@ func mixSeed(base int64, lane int) int64 {
 // sharePoolCap bounds the shared pool's clause ring.
 const sharePoolCap = 4096
 
-// Solve decides (and, with an objective, optimises) the model. See
-// drive for the contract; the parallel engine adds aggregated per-worker
-// counters plus clause-sharing statistics ("workers", "shared_exported",
-// "shared_imported", "winner") to Solution.Stats.
-func (e *ParallelEngine) Solve(ctx context.Context, m *ilp.Model) (*ilp.Solution, error) {
-	seq := &Engine{Seed: e.Seed}
-	if e.Workers <= 1 {
-		return seq.Solve(ctx, m)
-	}
-	pool := e.Budget
-	if pool == nil {
-		pool = budget.Global()
-	}
-	extra := pool.TryAcquire(e.Workers - 1)
-	defer pool.Release(extra)
-	if extra == 0 {
-		// No spare tokens: run the sequential engine on the caller's
-		// goroutine rather than a one-worker gang with pool overhead.
-		return seq.Solve(ctx, m)
-	}
-	return drive(ctx, m, func(objLits []lit) (backend, error) { return e.load(m, objLits, 1+extra) })
-}
-
-// gang is ParallelEngine's backend: k solvers compiled from the same
-// model with diversified trajectories, sharing one clause pool. The gang
-// lives for the whole solve, so each objective bound is one more race over
-// the same solvers (every shared or carried clause is a consequence of the
-// model, hence of the model plus any tighter bound).
+// gang is k solvers compiled from the same model with diversified
+// trajectories, sharing one clause pool when k > 1. Every shared or
+// carried clause is a consequence of the model, hence of the model plus
+// any tighter objective bound.
 type gang struct {
 	workers    []*solver
-	imported   []int64 // per-worker import counters
-	pool       *sharePool
+	imported   []int64    // per-worker import counters; nil when k = 1
+	pool       *sharePool // nil when k = 1
 	objLits    []lit
 	candidates []int // worker 0's probing candidates until the first race
 	winner     int
@@ -126,22 +53,18 @@ type gang struct {
 // load compiles the model once and clones the loaded solver for every
 // further lane before any lane is seeded: identical formula, diversified
 // trajectories. Lane i ends up equal to compile(m, mixSeed(e.Seed, i)).
-func (e *ParallelEngine) load(m *ilp.Model, objLits []lit, k int) (*gang, error) {
-	maxLen := e.ShareMaxLen
-	if maxLen <= 0 {
-		maxLen = 8
-	}
+// A single lane keeps the solver defaults. Wider gangs also vary each
+// lane's VSIDS decay and restart schedule and connect the lanes through
+// one clause pool: each exports its learnt clauses of at most the length
+// cap and imports its peers' at restarts.
+func (e *Engine) load(m *ilp.Model, objLits []lit, k int) (*gang, error) {
 	base, err := load(m)
 	if err != nil {
 		return nil, err
 	}
-	g := &gang{
-		workers:    make([]*solver, k),
-		imported:   make([]int64, k),
-		pool:       newSharePool(maxLen, sharePoolCap),
-		objLits:    objLits,
-		candidates: probeCandidates(m),
-		winner:     -1,
+	g := &gang{workers: make([]*solver, k), objLits: objLits, winner: -1}
+	if !e.noProbe {
+		g.candidates = probeCandidates(m)
 	}
 	g.workers[0] = base
 	for i := 1; i < k; i++ {
@@ -149,6 +72,14 @@ func (e *ParallelEngine) load(m *ilp.Model, objLits []lit, k int) (*gang, error)
 	}
 	for i, s := range g.workers {
 		s.applySeed(mixSeed(e.Seed, i))
+	}
+	if k == 1 {
+		return g, nil
+	}
+	maxLen := cmp.Or(e.shareMaxLen, 8)
+	g.imported = make([]int64, k)
+	g.pool = newSharePool(maxLen, sharePoolCap)
+	for i, s := range g.workers {
 		s.varDecay = laneDecay[i%len(laneDecay)]
 		s.restartScale = laneRestart[i%len(laneRestart)]
 		var cursor uint64
@@ -171,62 +102,58 @@ func (e *ParallelEngine) load(m *ilp.Model, objLits []lit, k int) (*gang, error)
 	return g, nil
 }
 
-// probe only checks for a root-level contradiction. Worker 0 probes at
-// the start of the first race instead, while its peers already search,
-// and publishes the facts it derives.
-func (g *gang) probe(context.Context) (lbool, error) {
-	if !g.workers[0].ok {
-		return lFalse, nil
-	}
-	return lTrue, nil
-}
-
 // search races every worker on the current formula; the first
-// definitive answer wins and cancels the rest.
-func (g *gang) search(ctx context.Context) (lbool, error) {
+// definitive answer wins and cancels the rest. Worker 0 runs on the
+// caller's goroutine, each further worker on one of its own, so a
+// one-lane gang is a plain sequential search. In the first race worker 0
+// probes before searching, while its peers already search, and publishes
+// the facts it derives.
+func (g *gang) search(ctx context.Context) lbool {
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	type outcome struct {
-		id  int
-		res lbool
-	}
-	outcomes := make(chan outcome, len(g.workers))
-	var wg sync.WaitGroup
-	for i, s := range g.workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if i == 0 && len(g.candidates) > 0 {
-				if !probe(raceCtx, s, g.candidates) {
-					outcomes <- outcome{i, lFalse}
-					return
-				}
-				// Publish the probe's level-0 facts so the other
-				// workers prune the same placements without paying
-				// for the probing themselves.
-				for _, l := range s.trail {
-					g.pool.Export(i, []lit{l})
-				}
-			}
-			outcomes <- outcome{i, s.search(raceCtx)}
-		}()
-	}
-	verdict := lUndef
-	for range g.workers {
-		o := <-outcomes
-		if o.res != lUndef && verdict == lUndef {
-			g.winner, verdict = o.id, o.res
+	var winner atomic.Int32
+	winner.Store(-1)
+	verdict := lUndef // written only by the winner
+	race := func(i int) {
+		if res := g.run(raceCtx, i); res != lUndef && winner.CompareAndSwap(-1, int32(i)) {
+			verdict = res
 			cancel() // first definitive answer ends the race
 		}
 	}
+	var wg sync.WaitGroup
+	for i := 1; i < len(g.workers); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			race(i)
+		}()
+	}
+	race(0)
 	wg.Wait() // all counters quiescent before the next phase
 	g.candidates = nil
-	return verdict, nil
+	if w := winner.Load(); w >= 0 {
+		g.winner = int(w)
+	}
+	return verdict
 }
 
-func (g *gang) model() ilp.Assignment {
-	w := g.workers[g.winner]
-	return w.assignment(w.nVars)
+// run is worker i's part of one race.
+func (g *gang) run(ctx context.Context, i int) lbool {
+	s := g.workers[i]
+	if i == 0 && len(g.candidates) > 0 {
+		if !probe(ctx, s, g.candidates) {
+			return lFalse
+		}
+		// Publish the probe's level-0 facts so the other workers
+		// prune the same placements without paying for the probing
+		// themselves.
+		if g.pool != nil {
+			for _, l := range s.trail {
+				g.pool.Export(i, []lit{l})
+			}
+		}
+	}
+	return s.search(ctx)
 }
 
 // bound adds the tightened objective bound to every worker. Each worker's
@@ -242,24 +169,48 @@ func (g *gang) bound(k int) bool {
 	return true
 }
 
+// stats reports a one-lane gang's solver counters as they are, and a
+// wider gang's summed over its lanes plus the sharing counters.
 func (g *gang) stats() map[string]int64 {
-	w0 := g.workers[0]
-	agg := map[string]int64{
-		"workers": int64(len(g.workers)),
-		"clauses": int64(w0.nClauses),
-		"cards":   int64(len(w0.cards)),
-		"learnts": int64(len(w0.learnts)),
+	st := g.workers[0].stats()
+	if g.pool == nil {
+		return st
 	}
-	for i, s := range g.workers {
-		agg["conflicts"] += s.conflicts
-		agg["decisions"] += s.decisions
-		agg["propagations"] += s.propagations
-		agg["restarts"] += s.restarts
-		agg["shared_imported"] += g.imported[i]
+	st["workers"] = int64(len(g.workers))
+	for _, s := range g.workers[1:] {
+		st["conflicts"] += s.conflicts
+		st["decisions"] += s.decisions
+		st["propagations"] += s.propagations
+		st["restarts"] += s.restarts
 	}
-	agg["shared_exported"], agg["shared_refused"], agg["shared_dropped"] = g.pool.Stats()
+	for _, n := range g.imported {
+		st["shared_imported"] += n
+	}
+	st["shared_exported"], st["shared_refused"], st["shared_dropped"] = g.pool.Stats()
 	if g.winner >= 0 {
-		agg["winner"] = int64(g.winner)
+		st["winner"] = int64(g.winner)
 	}
-	return agg
+	return st
+}
+
+// stats reports the solver's search counters and database sizes.
+func (s *solver) stats() map[string]int64 {
+	return map[string]int64{
+		"conflicts":    s.conflicts,
+		"decisions":    s.decisions,
+		"propagations": s.propagations,
+		"restarts":     s.restarts,
+		"clauses":      int64(s.nClauses),
+		"cards":        int64(len(s.cards)),
+		"learnts":      int64(len(s.learnts)),
+	}
+}
+
+// assignment reads the model's values after a satisfiable search.
+func (s *solver) assignment() ilp.Assignment {
+	a := make(ilp.Assignment, s.nVars)
+	for v := range a {
+		a[v] = s.vals[mkLit(v, false)] == lTrue
+	}
+	return a
 }

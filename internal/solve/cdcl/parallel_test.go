@@ -150,10 +150,10 @@ func TestImportLearntSimplifies(t *testing.T) {
 	}
 }
 
-// TestParallelK1BitIdentical: with one worker and a fixed seed the
-// parallel engine must be indistinguishable from the sequential engine —
-// same status, same assignment, same objective, same stats, across many
-// random models.
+// TestParallelK1BitIdentical: a gang request that wins no budget tokens
+// runs one lane, which must be indistinguishable from the default
+// engine with the same seed — same status, same assignment, same
+// objective, same stats, across many random models.
 func TestParallelK1BitIdentical(t *testing.T) {
 	prop := func(seed int64) bool {
 		m := randomUnitModel(seed)
@@ -161,9 +161,9 @@ func TestParallelK1BitIdentical(t *testing.T) {
 		if err != nil {
 			return true // both paths reject identically; covered below
 		}
-		par, err := NewParallel(1, 7).Solve(context.Background(), m)
+		par, err := (&Engine{Workers: 4, Seed: 7, Budget: budget.New(0)}).Solve(context.Background(), m)
 		if err != nil {
-			t.Logf("seed %d: parallel errored where sequential did not: %v", seed, err)
+			t.Logf("seed %d: gang request errored where one lane did not: %v", seed, err)
 			return false
 		}
 		if seq.Status != par.Status || seq.Objective != par.Objective ||
@@ -186,8 +186,7 @@ func TestParallelAgainstBruteForce(t *testing.T) {
 	prop := func(seed int64) bool {
 		m := randomUnitModel(seed)
 		wantStatus, wantObj := bruteForce(m)
-		e := NewParallel(4, seed)
-		e.Budget = pool
+		e := &Engine{Workers: 4, Seed: seed, Budget: pool}
 		sol, err := e.Solve(context.Background(), m)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
@@ -237,9 +236,8 @@ func buildPigeonhole(n int) *ilp.Model {
 // TestParallelUnsatProof: the gang proves pigeonhole infeasibility (an
 // UNSAT proof must survive clause sharing) and reports gang stats.
 func TestParallelUnsatProof(t *testing.T) {
-	e := NewParallel(4, 3)
-	e.Budget = budget.New(8)
-	e.ShareMaxLen = 32 // pigeonhole learnt clauses are mid-length
+	e := &Engine{Workers: 4, Seed: 3, Budget: budget.New(8)}
+	e.shareMaxLen = 32 // pigeonhole learnt clauses are mid-length
 	sol, err := e.Solve(context.Background(), buildPigeonhole(6))
 	if err != nil {
 		t.Fatal(err)
@@ -266,8 +264,7 @@ func TestParallelOptimization(t *testing.T) {
 		m.AddGE("edge", ilp.Sum(v[i], v[(i+1)%n]), 1)
 	}
 	m.Objective = ilp.Sum(v...)
-	e := NewParallel(3, 1)
-	e.Budget = budget.New(4)
+	e := &Engine{Workers: 3, Seed: 1, Budget: budget.New(4)}
 	sol, err := e.Solve(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
@@ -280,8 +277,7 @@ func TestParallelOptimization(t *testing.T) {
 func TestParallelCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	e := NewParallel(4, 1)
-	e.Budget = budget.New(4)
+	e := &Engine{Workers: 4, Seed: 1, Budget: budget.New(4)}
 	sol, err := e.Solve(ctx, buildPigeonhole(4))
 	if err != nil {
 		t.Fatal(err)
@@ -294,8 +290,7 @@ func TestParallelCancellation(t *testing.T) {
 	// come back unknown (or a genuinely finished proof), never hang.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel2()
-	e2 := NewParallel(4, 1)
-	e2.Budget = budget.New(4)
+	e2 := &Engine{Workers: 4, Seed: 1, Budget: budget.New(4)}
 	sol2, err := e2.Solve(ctx2, buildPigeonhole(9))
 	if err != nil {
 		t.Fatal(err)
@@ -305,14 +300,13 @@ func TestParallelCancellation(t *testing.T) {
 	}
 }
 
-// TestParallelBudgetExhausted: with an empty budget the engine runs the
-// plain sequential path (no gang bookkeeping in the stats).
+// TestParallelBudgetExhausted: with an empty budget the engine runs one
+// lane (no gang bookkeeping in the stats).
 func TestParallelBudgetExhausted(t *testing.T) {
 	m := ilp.NewModel("sat")
 	x := m.Binary("x")
 	m.AddGE("up", ilp.Sum(x), 1)
-	e := NewParallel(8, 5)
-	e.Budget = budget.New(0)
+	e := &Engine{Workers: 8, Seed: 5, Budget: budget.New(0)}
 	sol, err := e.Solve(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +315,7 @@ func TestParallelBudgetExhausted(t *testing.T) {
 		t.Fatalf("status = %v", sol.Status)
 	}
 	if _, ok := sol.Stats["workers"]; ok {
-		t.Error("sequential fallback still reports gang stats")
+		t.Error("one-lane run still reports gang stats")
 	}
 	if e.Budget.InUse() != 0 {
 		t.Error("budget tokens leaked")

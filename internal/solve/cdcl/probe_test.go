@@ -28,7 +28,7 @@ func TestProbingFixesFailedLiterals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := (&Engine{DisableProbing: true}).Solve(context.Background(), build())
+	without, err := (&Engine{noProbe: true}).Solve(context.Background(), build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestProbingPreservesAnswers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := (&Engine{DisableProbing: true}).Solve(context.Background(), m2)
+		s2, err := (&Engine{noProbe: true}).Solve(context.Background(), m2)
 		if err != nil {
 			t.Fatal(err)
 		}

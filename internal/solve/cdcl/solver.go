@@ -81,13 +81,13 @@ type solver struct {
 	maxLearnts int
 
 	// Diversification parameters. The defaults reproduce the historical
-	// single-threaded search exactly; the parallel engine varies them per
-	// worker so that the gang explores genuinely different trajectories
+	// single-threaded search exactly; a gang wider than one varies them
+	// per worker so that it explores genuinely different trajectories
 	// (ManySAT-style portfolio diversification).
 	varDecay     float64 // VSIDS decay: varInc /= varDecay per conflict
 	restartScale int64   // Luby restart unit, in conflicts
 
-	// Clause-sharing hooks (nil for the sequential engine). onLearn is
+	// Clause-sharing hooks (nil in a one-lane gang). onLearn is
 	// invoked with every learnt clause, immediately after conflict
 	// analysis; the callee must copy the slice if it retains it (the
 	// solver reorders a clause's literals as watches move). onRestart is

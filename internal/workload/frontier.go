@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"cgramap/internal/arch"
@@ -52,8 +53,9 @@ func (s FrontierSpec) validate() error {
 // FrontierOptions configures how each probe is solved.
 type FrontierOptions struct {
 	// Timeout bounds each probe's wall clock (default 10s). A probe
-	// that times out counts as unmappable: the frontier charts what the
-	// stack decides within budget, mirroring the paper's "T" cells.
+	// that times out counts as unmappable for the bisection: the
+	// frontier charts what the stack decides within budget, mirroring
+	// the paper's "T" cells. Reports label such a rung undecided.
 	Timeout time.Duration
 	// Mapper carries per-probe mapper options. Set Mapper.MapWith (a
 	// service client's MapFunc) to route probes to a remote daemon.
@@ -81,9 +83,10 @@ type Boundary struct {
 	Fabric string `json:"fabric"`
 	II     int    `json:"ii"`
 	// MaxFeasibleN is the largest rung found mappable (0: even MinN is
-	// not); MinInfeasibleN is the smallest rung found unmappable
-	// within budget (0: even MaxN maps). When both are set they are
-	// adjacent probes bracketing the frontier.
+	// not); MinInfeasibleN is the smallest rung not found mappable
+	// within budget (0: even MaxN maps). That rung's probe may be a
+	// proof (status Infeasible) or a timeout (status Unknown). When both
+	// are set they are adjacent probes bracketing the frontier.
 	MaxFeasibleN   int `json:"max_feasible_n"`
 	MinInfeasibleN int `json:"min_infeasible_n"`
 	// Probes records every cell solved, in probe order.
@@ -91,8 +94,13 @@ type Boundary struct {
 }
 
 // Bracketed reports whether this boundary observed both a feasible and
-// an unmappable rung — a genuine frontier crossing.
+// an unmappable (or undecided) rung — a frontier crossing within budget.
 func (b Boundary) Bracketed() bool { return b.MaxFeasibleN > 0 && b.MinInfeasibleN > 0 }
+
+// provenAt reports whether the probe at rung n proved infeasibility.
+func (b Boundary) provenAt(n int) bool {
+	return slices.ContainsFunc(b.Probes, func(p Probe) bool { return p.N == n && p.Status == ilp.Infeasible })
+}
 
 // Frontier is a full sweep result.
 type Frontier struct {

@@ -187,6 +187,40 @@ func TestFrontierReportDeterministic(t *testing.T) {
 	}
 }
 
+// TestMarkdownTimeoutBracket: a rung that timed out is rendered as
+// undecided within budget, never as unmappable; a proven rung still is.
+func TestMarkdownTimeoutBracket(t *testing.T) {
+	front := &Frontier{Family: Dot, Seed: 1, MinN: 1, MaxN: 12, Boundaries: []Boundary{
+		{Fabric: "timed-out", II: 1, MaxFeasibleN: 6, MinInfeasibleN: 7, Probes: []Probe{
+			{N: 1, Status: ilp.Optimal}, {N: 12, Status: ilp.Infeasible}, {N: 6, Status: ilp.Optimal},
+			{N: 9, Status: ilp.Infeasible}, {N: 7, Status: ilp.Unknown}}},
+		{Fabric: "proven", II: 2, MaxFeasibleN: 6, MinInfeasibleN: 7, Probes: []Probe{
+			{N: 1, Status: ilp.Optimal}, {N: 12, Status: ilp.Infeasible}, {N: 6, Status: ilp.Optimal},
+			{N: 9, Status: ilp.Infeasible}, {N: 7, Status: ilp.Infeasible}}},
+		{Fabric: "tiny", II: 1, MinInfeasibleN: 1, Probes: []Probe{
+			{N: 1, Status: ilp.Unknown, Reason: "deadline"}}},
+	}}
+	var md bytes.Buffer
+	if err := front.WriteMarkdown(&md); err != nil {
+		t.Fatal(err)
+	}
+	out := md.String()
+	for _, want := range []string{
+		"| timed-out | 1 | 6 | 7 (T) |",
+		"**timed-out @ II=1**: frontier between n=6 (feasible) and n=7 (undecided within budget)",
+		"| proven | 2 | 6 | 7 |",
+		"**proven @ II=2**: frontier between n=6 (feasible) and n=7 (unmappable)",
+		"**tiny @ II=1**: undecided within budget at the smallest probed size n=1 (deadline)",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("markdown missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Count(out, "unmappable)") != 1 {
+		t.Errorf("a timed-out rung is labelled unmappable:\n%s", out)
+	}
+}
+
 // TestFrontier8x8Bracket drives the real mapper stack: on a
 // homogeneous diagonal 8x8 (32 I/O blocks), the dot ladder must flip
 // from feasible to unmappable. dot_1 maps in well under a second;

@@ -48,6 +48,9 @@ func (f *Frontier) WriteMarkdown(w io.Writer) error {
 		}
 		if b.MinInfeasibleN > 0 {
 			minN = fmt.Sprintf("%d", b.MinInfeasibleN)
+			if !b.provenAt(b.MinInfeasibleN) {
+				minN += " (T)"
+			}
 		}
 		probes := ""
 		for i, p := range b.Probes {
@@ -60,12 +63,17 @@ func (f *Frontier) WriteMarkdown(w io.Writer) error {
 	}
 	fmt.Fprintln(bw)
 	for _, b := range f.Boundaries {
+		// A rung that timed out is undecided, never reported as a proof.
+		verdict := "undecided within budget"
+		if b.provenAt(b.MinInfeasibleN) {
+			verdict = "unmappable"
+		}
 		if b.Bracketed() {
-			fmt.Fprintf(bw, "- **%s @ II=%d**: frontier between n=%d (feasible) and n=%d (unmappable)\n",
-				b.Fabric, b.II, b.MaxFeasibleN, b.MinInfeasibleN)
+			fmt.Fprintf(bw, "- **%s @ II=%d**: frontier between n=%d (feasible) and n=%d (%s)\n",
+				b.Fabric, b.II, b.MaxFeasibleN, b.MinInfeasibleN, verdict)
 		} else if b.MaxFeasibleN == 0 && len(b.Probes) > 0 {
-			fmt.Fprintf(bw, "- **%s @ II=%d**: unmappable at the smallest probed size n=%d (%s)\n",
-				b.Fabric, b.II, b.Probes[0].N, b.Probes[0].Reason)
+			fmt.Fprintf(bw, "- **%s @ II=%d**: %s at the smallest probed size n=%d (%s)\n",
+				b.Fabric, b.II, verdict, b.Probes[0].N, b.Probes[0].Reason)
 		} else if b.MinInfeasibleN == 0 {
 			fmt.Fprintf(bw, "- **%s @ II=%d**: the whole probed range maps (frontier above n=%d)\n",
 				b.Fabric, b.II, b.MaxFeasibleN)
