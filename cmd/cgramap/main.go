@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"cgramap/internal/anneal"
@@ -210,6 +211,9 @@ func reportResult(res *mapper.Result, g *dfg.Graph, o runOpts, timeout, elapsed 
 		if res.Reason != "" {
 			fmt.Printf("  %s\n", res.Reason)
 		}
+		if explain := explainUnknown(res); explain != "" {
+			fmt.Printf("  %s\n", explain)
+		}
 		return exitUnknown, nil
 	default:
 		fmt.Printf("status: %s in %v (%d vars, %d constraints, routing cost %d)\n",
@@ -217,6 +221,26 @@ func reportResult(res *mapper.Result, g *dfg.Graph, o runOpts, timeout, elapsed 
 			res.Vars, res.Constraints, res.Mapping.RoutingCost())
 		return postProcess(res.Mapping, g, o)
 	}
+}
+
+// explainUnknown says where an undecided solve's budget went: the
+// model's size and how far the search got. It reports only what the
+// result holds, so a sweep cancelled before any model was built, or a
+// solve cancelled before its search started, yields no invented zeros.
+func explainUnknown(res *mapper.Result) string {
+	var parts, search []string
+	if res.Vars > 0 {
+		parts = append(parts, fmt.Sprintf("model: %d vars, %d constraints", res.Vars, res.Constraints))
+	}
+	for _, k := range []string{"conflicts", "propagations", "restarts"} {
+		if n, ok := res.SolverStats[k]; ok {
+			search = append(search, fmt.Sprintf("%d %s", n, k))
+		}
+	}
+	if len(search) > 0 {
+		parts = append(parts, "search: "+strings.Join(search, ", "))
+	}
+	return strings.Join(parts, "; ")
 }
 
 // postProcess prints a found mapping (unless quiet), optionally its floor

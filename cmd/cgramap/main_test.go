@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -83,24 +84,16 @@ func TestRunLPExportWriteFailure(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this system")
 	}
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stdout := os.Stdout
-	os.Stdout = w
-	code, runErr := run(runOpts{benchName: "2x2-f", rows: 4, cols: 4, contexts: 1, diagonal: true,
-		objective: "feasibility", engine: "cdcl", timeout: time.Minute, lpOut: "/dev/full", quiet: true})
-	os.Stdout = stdout
-	w.Close()
-	out, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var code int
+	var runErr error
+	out := captureStdout(t, func() {
+		code, runErr = run(runOpts{benchName: "2x2-f", rows: 4, cols: 4, contexts: 1, diagonal: true,
+			objective: "feasibility", engine: "cdcl", timeout: time.Minute, lpOut: "/dev/full", quiet: true})
+	})
 	if code != exitError || runErr == nil {
 		t.Errorf("exit %d, error %v; want exit %d with an error", code, runErr, exitError)
 	}
-	if strings.Contains(string(out), "wrote") {
+	if strings.Contains(out, "wrote") {
 		t.Errorf("failed export reported as written:\n%s", out)
 	}
 }
@@ -203,14 +196,67 @@ func TestRunExitInfeasible(t *testing.T) {
 }
 
 // TestRunExitUnknown: an expired deadline leaves the instance undecided,
-// which must surface as exit status 3, not as infeasibility.
+// which must surface as exit status 3, not as infeasibility. The status
+// is followed by what the result knows of where the budget went, and by
+// nothing it does not know: no model size for a sweep cancelled before
+// any model was built, no search counters for a solve cancelled before
+// its search started.
 func TestRunExitUnknown(t *testing.T) {
-	code, err := run(runOpts{benchName: "mac", rows: 4, cols: 4, contexts: 2, diagonal: true,
-		objective: "feasibility", engine: "cdcl", timeout: time.Nanosecond, quiet: true})
+	for _, tc := range []struct {
+		name    string
+		o       runOpts
+		explain string // the line after the status; "" = none
+	}{
+		{"cancelled-before-search",
+			runOpts{benchName: "mac", rows: 4, cols: 4, contexts: 2, diagonal: true, timeout: time.Nanosecond},
+			`^  model: [1-9]\d* vars, [1-9]\d* constraints$`},
+		{"mid-search",
+			runOpts{benchName: "mult_16", rows: 4, cols: 4, contexts: 1, knobs: mapper.Flags{Workers: 1}, timeout: time.Second},
+			`^  model: [1-9]\d* vars, [1-9]\d* constraints; search: \d+ conflicts, \d+ propagations, \d+ restarts$`},
+		{"auto-ii-cancelled",
+			runOpts{benchName: "mac", rows: 4, cols: 4, contexts: 2, diagonal: true, autoII: 4, timeout: time.Nanosecond},
+			""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.o.objective, tc.o.engine, tc.o.quiet = "feasibility", "cdcl", true
+			var code int
+			var err error
+			out := captureStdout(t, func() { code, err = run(tc.o) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code != exitUnknown {
+				t.Errorf("exit code %d for a timed-out solve, want %d", code, exitUnknown)
+			}
+			explained := regexp.MustCompile(`(?m)^  (model|search): .*$`).FindString(out)
+			if tc.explain == "" {
+				if explained != "" {
+					t.Errorf("cancelled sweep reports a model or search it never had: %q", explained)
+				}
+			} else if !regexp.MustCompile(tc.explain).MatchString(explained) {
+				t.Errorf("explanation %q does not match %s; output:\n%s", explained, tc.explain, out)
+			}
+		})
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected into a pipe and returns
+// what it printed.
+func captureStdout(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code != exitUnknown {
-		t.Errorf("exit code %d for a timed-out solve, want %d", code, exitUnknown)
-	}
+	printed := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	f()
+	w.Close()
+	return string(<-printed)
 }

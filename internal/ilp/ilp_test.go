@@ -297,7 +297,7 @@ func TestWriteLPAllocs(t *testing.T) {
 		})
 	}
 	a, b := allocs(small), allocs(large)
-	if a != b || b > 4 {
+	if a != b || b > 3 {
 		t.Errorf("WriteLP allocations: %v on 10 variables, %v on 20000; want the same small constant", a, b)
 	}
 }

@@ -99,25 +99,6 @@ func objectiveLits(m *ilp.Model) (lits []lit, offset int, err error) {
 	return lits, -negs, nil
 }
 
-// Compile loads m exactly as Solve does, without probing or searching,
-// and reports the size of the loaded formula: "clauses", "cards", and
-// "facts" (root literals fixed while loading). The compile/<kernel>
-// benchmark series measure loading through it.
-func Compile(m *ilp.Model) (map[string]int64, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	s, err := compile(m, 0)
-	if err != nil {
-		return nil, err
-	}
-	return map[string]int64{
-		"clauses": int64(s.nClauses),
-		"cards":   int64(len(s.cards)),
-		"facts":   int64(len(s.trail)),
-	}, nil
-}
-
 // compile encodes a model into a fresh solver. It returns an error for
 // non-unit coefficients; a model trivially infeasible at the root comes
 // back with ok cleared. A non-zero seed jitters activities and phases for
