@@ -360,9 +360,6 @@ type (
 	// KernelFamily names a parameterised kernel ladder (dot, fir,
 	// stencil, reduce, conv2d, matvec, gen).
 	KernelFamily = workload.Family
-	// FabricSpec parameterises a generated fabric beyond the paper's
-	// 4x4 (size, interconnect, contexts, memory-port layout).
-	FabricSpec = workload.FabricSpec
 	// FrontierSpec and FrontierOptions configure a mappability sweep;
 	// Frontier and FrontierBoundary report it.
 	FrontierSpec     = workload.FrontierSpec
@@ -385,16 +382,13 @@ func Kernel(family KernelFamily, n int, seed int64) (*DFG, error) {
 // KernelFamilies lists the kernel families in a stable order.
 func KernelFamilies() []KernelFamily { return workload.Families() }
 
-// Fabric builds a generated fabric's architecture netlist.
-func Fabric(spec FabricSpec) (*Arch, error) { return workload.Fabric(spec) }
-
 // ParseFabric parses a compact fabric description such as
-// "8x8:diag,hetero,c2" or "16x16:torus,mem4".
-func ParseFabric(desc string) (FabricSpec, error) { return workload.ParseFabric(desc) }
+// "8x8:diag,hetero,c2" or "16x16:torus,mem4"; Grid builds it.
+func ParseFabric(desc string) (GridSpec, error) { return workload.ParseFabric(desc) }
 
 // StandardFabrics is the default exploration ladder from the paper's
 // 4x4 through 16x16.
-func StandardFabrics() []FabricSpec { return workload.StandardFabrics() }
+func StandardFabrics() []GridSpec { return workload.StandardFabrics() }
 
 // RunFrontier charts where a kernel ladder flips from mappable to
 // unmappable on each fabric, bisecting kernel size per (fabric, II)

@@ -156,7 +156,7 @@ func TestWorkloadFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, err := Fabric(fs); err != nil || a.Validate() != nil {
+	if a, err := Grid(fs); err != nil || a.Validate() != nil {
 		t.Fatalf("8x8 fabric: %v", err)
 	}
 	if len(StandardFabrics()) < 5 {
@@ -170,7 +170,7 @@ func TestWorkloadFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	front, err := RunFrontier(ctx, FrontierSpec{
-		Family: "dot", MinN: 1, MaxN: 4, Fabrics: []FabricSpec{hetero},
+		Family: "dot", MinN: 1, MaxN: 4, Fabrics: []GridSpec{hetero},
 	}, FrontierOptions{Timeout: 60 * time.Second})
 	if err != nil {
 		t.Fatal(err)

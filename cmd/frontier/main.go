@@ -24,6 +24,7 @@ import (
 	"strings"
 	"time"
 
+	"cgramap/internal/arch"
 	"cgramap/internal/mapper"
 	"cgramap/internal/service"
 	"cgramap/internal/workload"
@@ -97,7 +98,7 @@ func runGenerate(args []string, stdout io.Writer) error {
 			return err
 		}
 		for _, spec := range specs {
-			a, err := workload.Fabric(spec)
+			a, err := arch.Grid(spec)
 			if err != nil {
 				return err
 			}

@@ -3,9 +3,9 @@
 // inspecting how primitives expand (the paper's Figs. 1–4).
 //
 // -contexts accepts a comma-separated II list (e.g. -contexts 1,2,4,2):
-// every II is dumped in order, and generation routes through the
-// content-addressed MRRG cache, so a repeated II is served from memory.
-// -stats prints the cache's hit/miss counters afterwards.
+// every II is dumped in order, and generation routes through the MRRG
+// store of mapper.ArtifactCache, so a repeated II is served from memory.
+// -stats prints that store's hit/miss counters afterwards.
 package main
 
 import (
@@ -17,7 +17,7 @@ import (
 	"strings"
 
 	"cgramap/internal/arch"
-	"cgramap/internal/mrrg"
+	"cgramap/internal/mapper"
 )
 
 func main() {
@@ -52,11 +52,11 @@ func run(archFile string, rows, cols int, contexts string, diagonal, hetero, dot
 	if syms {
 		printSymmetries(base)
 	}
-	cache := mrrg.NewCache(len(iis))
+	cache := mapper.NewArtifactCache(len(iis))
 	for _, ii := range iis {
 		a := *base
 		a.Contexts = ii
-		g, err := cache.Generate(&a)
+		g, err := cache.MRRG(&a)
 		if err != nil {
 			return err
 		}
@@ -80,7 +80,7 @@ func run(archFile string, rows, cols int, contexts string, diagonal, hetero, dot
 		}
 	}
 	if stats {
-		cs := cache.Stats()
+		cs := cache.Stats().MRRG
 		fmt.Printf("MRRG cache: %d hits, %d misses, %d entries (~%d bytes)\n",
 			cs.Hits, cs.Misses, cs.Entries, cs.Bytes)
 	}

@@ -33,7 +33,7 @@ func main() {
 		Family:  cgramap.KernelFamily("dot"),
 		MinN:    1,
 		MaxN:    8,
-		Fabrics: []cgramap.FabricSpec{fabric},
+		Fabrics: []cgramap.GridSpec{fabric},
 	}
 	front, err := cgramap.RunFrontier(context.Background(), spec, cgramap.FrontierOptions{
 		Timeout:  30 * time.Second,

@@ -1,14 +1,13 @@
 package mapper
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"fmt"
 	"io"
-	"sync"
 
 	"cgramap/internal/arch"
 	"cgramap/internal/dfg"
+	"cgramap/internal/lru"
 	"cgramap/internal/mrrg"
 )
 
@@ -26,30 +25,8 @@ import (
 // eviction is LRU capacity pressure. All methods are safe for
 // concurrent use; cached artifacts are shared and immutable.
 type ArtifactCache struct {
-	mrrgs *mrrg.Cache
-
-	mu       sync.Mutex
-	cap      int
-	order    *list.List // front = most recently used
-	entries  map[string]*list.Element
-	inflight map[string]*tmplFlight
-
-	hits      int64
-	misses    int64
-	evictions int64
-	bytes     int64
-}
-
-type tmplEntry struct {
-	key   string
-	t     *Template
-	bytes int64
-}
-
-type tmplFlight struct {
-	done chan struct{}
-	t    *Template
-	err  error
+	mrrgs     *lru.Cache[*mrrg.Graph]
+	templates *lru.Cache[*Template]
 }
 
 // NewArtifactCache returns a cache bounded to the given number of
@@ -59,43 +36,33 @@ type tmplFlight struct {
 // rebuild (still single-flighted, so concurrent identical requests
 // share one build).
 func NewArtifactCache(capacity int) *ArtifactCache {
-	return &ArtifactCache{
-		mrrgs:    mrrg.NewCache(capacity),
-		cap:      capacity,
-		order:    list.New(),
-		entries:  make(map[string]*list.Element),
-		inflight: make(map[string]*tmplFlight),
-	}
+	return &ArtifactCache{mrrgs: lru.New[*mrrg.Graph](capacity), templates: lru.New[*Template](capacity)}
 }
 
-// ArtifactStats is a point-in-time snapshot of both artifact classes.
+// ArtifactStats is a point-in-time snapshot of both artifact classes:
+// hits, misses, evictions, entries and approximate retained bytes of the
+// MRRG store and of the formulation-template store.
 type ArtifactStats struct {
-	// MRRG reports the MRRG store (hits, misses, evictions, entries,
-	// approximate bytes).
-	MRRG mrrg.CacheStats
-	// Template* report the formulation-template store.
-	TemplateHits, TemplateMisses, TemplateEvictions int64
-	TemplateEntries                                 int
-	TemplateBytes                                   int64
+	MRRG, Template lru.Stats
 }
 
 // Stats returns a snapshot of the cache counters.
 func (c *ArtifactCache) Stats() ArtifactStats {
-	s := ArtifactStats{MRRG: c.mrrgs.Stats()}
-	c.mu.Lock()
-	s.TemplateHits = c.hits
-	s.TemplateMisses = c.misses
-	s.TemplateEvictions = c.evictions
-	s.TemplateEntries = c.order.Len()
-	s.TemplateBytes = c.bytes
-	c.mu.Unlock()
-	return s
+	return ArtifactStats{MRRG: c.mrrgs.Stats(), Template: c.templates.Stats()}
 }
 
-// MRRG returns the (cached) MRRG for a. The returned graph is shared:
-// callers must not modify it.
+// MRRG returns the (cached) MRRG for a, keyed by mrrg.CacheKey. The
+// returned graph is shared: callers must not modify it. Generation
+// errors (an FU initiation interval that does not divide the context
+// count) are per-II infeasibility, so they are returned, never cached.
 func (c *ArtifactCache) MRRG(a *arch.Arch) (*mrrg.Graph, error) {
-	return c.mrrgs.Generate(a)
+	return c.mrrgs.Do(mrrg.CacheKey(a), func() (*mrrg.Graph, int64, error) {
+		g, err := mrrg.Generate(a)
+		if err != nil {
+			return nil, 0, err
+		}
+		return g, g.ApproxBytes(), nil
+	})
 }
 
 // templateKey derives the content-addressed template key. The
@@ -133,47 +100,13 @@ func templateKey(g *dfg.Graph, a *arch.Arch, opts Options) string {
 // template returns the (cached) formulation template for mapping g onto
 // the architecture, building and single-flighting on miss.
 func (c *ArtifactCache) template(g *dfg.Graph, a *arch.Arch, opts Options) (*Template, error) {
-	key := templateKey(g, a, opts)
-
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.hits++
-		c.order.MoveToFront(el)
-		t := el.Value.(*tmplEntry).t
-		c.mu.Unlock()
-		return t, nil
-	}
-	if fl, ok := c.inflight[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		<-fl.done
-		return fl.t, fl.err
-	}
-	c.misses++
-	fl := &tmplFlight{done: make(chan struct{})}
-	c.inflight[key] = fl
-	c.mu.Unlock()
-
-	fl.t, fl.err = NewTemplate(g, a, opts)
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if fl.err == nil && c.cap > 0 {
-		size := fl.t.approxBytes
-		c.entries[key] = c.order.PushFront(&tmplEntry{key: key, t: fl.t, bytes: size})
-		c.bytes += size
-		for c.order.Len() > c.cap {
-			oldest := c.order.Back()
-			c.order.Remove(oldest)
-			e := oldest.Value.(*tmplEntry)
-			delete(c.entries, e.key)
-			c.bytes -= e.bytes
-			c.evictions++
+	return c.templates.Do(templateKey(g, a, opts), func() (*Template, int64, error) {
+		t, err := NewTemplate(g, a, opts)
+		if err != nil {
+			return nil, 0, err
 		}
-	}
-	c.mu.Unlock()
-	close(fl.done)
-	return fl.t, fl.err
+		return t, t.approxBytes, nil
+	})
 }
 
 // templateFor resolves the formulation template for (g, arch): from the

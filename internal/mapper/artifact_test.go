@@ -99,7 +99,7 @@ func TestStampedScratchByteIdentity(t *testing.T) {
 		}
 	}
 	st := cache.Stats()
-	if st.TemplateMisses == 0 || st.TemplateHits == 0 {
+	if st.Template.Misses == 0 || st.Template.Hits == 0 {
 		t.Fatalf("expected both template misses and hits, got %+v", st)
 	}
 }
@@ -118,20 +118,20 @@ func TestTemplateCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cache.Stats()
-	if st.TemplateEvictions != 1 || st.TemplateEntries != 1 {
+	if st.Template.Evictions != 1 || st.Template.Entries != 1 {
 		t.Fatalf("after 2 kernels at cap 1: evictions=%d entries=%d, want 1 and 1",
-			st.TemplateEvictions, st.TemplateEntries)
+			st.Template.Evictions, st.Template.Entries)
 	}
 	if _, err := cache.template(ga, a, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	st = cache.Stats()
-	if st.TemplateMisses != 3 || st.TemplateHits != 0 {
+	if st.Template.Misses != 3 || st.Template.Hits != 0 {
 		t.Fatalf("evicted template re-request: misses=%d hits=%d, want 3 and 0",
-			st.TemplateMisses, st.TemplateHits)
+			st.Template.Misses, st.Template.Hits)
 	}
-	if st.TemplateBytes <= 0 {
-		t.Fatalf("template bytes gauge not maintained: %d", st.TemplateBytes)
+	if st.Template.Bytes <= 0 {
+		t.Fatalf("template bytes gauge not maintained: %d", st.Template.Bytes)
 	}
 }
 
@@ -165,9 +165,52 @@ func TestTemplateCacheSingleFlight(t *testing.T) {
 		}
 	}
 	st := cache.Stats()
-	if st.TemplateMisses != 1 || st.TemplateHits != n-1 {
+	if st.Template.Misses != 1 || st.Template.Hits != n-1 {
 		t.Fatalf("single-flight stats: misses=%d hits=%d, want 1 and %d",
-			st.TemplateMisses, st.TemplateHits, n-1)
+			st.Template.Misses, st.Template.Hits, n-1)
+	}
+}
+
+// TestMRRGCacheSharesEqualArch: the MRRG store is content-addressed, so
+// a structurally equal but distinct *arch.Arch hits and gets the same
+// graph.
+func TestMRRGCacheSharesEqualArch(t *testing.T) {
+	cache := NewArtifactCache(4)
+	spec := arch.GridSpec{Rows: 2, Cols: 2, Contexts: 2}
+	a, _ := gridAt(t, spec, 2)
+	b, _ := gridAt(t, spec, 2)
+	g1, err := cache.MRRG(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := cache.MRRG(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g1 != g2 {
+		t.Fatal("an equal architecture did not return the cached graph")
+	}
+	if s := cache.Stats().MRRG; s.Hits != 1 || s.Misses != 1 || s.Entries != 1 || s.Bytes <= 0 {
+		t.Fatalf("stats = %+v, want 1 hit, 1 miss, 1 entry and a positive byte estimate", s)
+	}
+}
+
+// TestMRRGCacheKeyDistinguishesContexts: one fabric at contexts 1, 2
+// and 3 takes three entries, each the graph of its own context count.
+func TestMRRGCacheKeyDistinguishesContexts(t *testing.T) {
+	cache := NewArtifactCache(4)
+	for _, ii := range []int{1, 2, 3} {
+		a, _ := gridAt(t, arch.GridSpec{Rows: 2, Cols: 2}, ii)
+		g, err := cache.MRRG(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Contexts != ii {
+			t.Fatalf("contexts %d returned a %d-context graph", ii, g.Contexts)
+		}
+	}
+	if s := cache.Stats().MRRG; s.Hits != 0 || s.Misses != 3 || s.Entries != 3 {
+		t.Fatalf("stats = %+v, want 0 hits, 3 misses, 3 entries", s)
 	}
 }
 
@@ -264,7 +307,7 @@ func TestMapAutoCachedEquivalentToScratchLadder(t *testing.T) {
 		}
 	}
 	st := shared.Stats()
-	if st.TemplateHits == 0 || st.MRRG.Hits == 0 {
+	if st.Template.Hits == 0 || st.MRRG.Hits == 0 {
 		t.Fatalf("warm rerun produced no cache hits: %+v", st)
 	}
 }

@@ -11,6 +11,7 @@ package mrrg
 
 import (
 	"fmt"
+	"strconv"
 
 	"cgramap/internal/arch"
 	"cgramap/internal/dfg"
@@ -143,6 +144,35 @@ func (g *Graph) Stats() Stats {
 		}
 	}
 	return s
+}
+
+// CacheKey is the content address of a's MRRG: the architecture
+// fingerprint and the context count. The fingerprint already covers
+// Contexts; the count is appended so the key stays correct even if the
+// fingerprint's coverage ever changes. Two *arch.Arch values that
+// describe the same fabric share a key, and any semantic edit changes
+// it, so a store keyed this way never holds a stale graph.
+func CacheKey(a *arch.Arch) string {
+	return a.Fingerprint() + "/" + strconv.Itoa(a.Contexts)
+}
+
+// ApproxBytes estimates the retained size of the graph: the node
+// structs, their adjacency and port slices, names, and the by-name
+// index. It is an estimate for cache accounting and metrics, not an
+// exact measurement.
+func (g *Graph) ApproxBytes() int64 {
+	// Node struct: ~11 words of scalars plus 4 slice headers ≈ 184
+	// bytes on 64-bit, rounded up for allocator slack.
+	const nodeOverhead = 192
+	const mapEntryOverhead = 48 // bucket slot + string header
+	b := int64(len(g.Nodes)) * (nodeOverhead + mapEntryOverhead)
+	for _, n := range g.Nodes {
+		b += int64(2 * len(n.Name)) // name bytes, once per struct + once per map key
+		b += int64(8 * (len(n.Fanouts) + len(n.Fanins) + len(n.PortNodes)))
+		b += int64(len(n.Ops))
+	}
+	b += int64(8 * len(g.funcUnits))
+	return b
 }
 
 // Validate checks the structural invariants the ILP formulation relies

@@ -167,10 +167,10 @@ func (m *Metrics) Render(w io.Writer) error {
 		counter("cgramapd_artifact_mrrg_misses_total", "MRRG requests that generated a new graph.", st.MRRG.Misses)
 		gauge("cgramapd_artifact_mrrg_entries", "Generated MRRGs held by the artifact cache.", int64(st.MRRG.Entries))
 		gauge("cgramapd_artifact_mrrg_bytes", "Approximate bytes held by cached MRRGs.", st.MRRG.Bytes)
-		counter("cgramapd_artifact_template_hits_total", "Formulation-template requests served from the artifact cache.", st.TemplateHits)
-		counter("cgramapd_artifact_template_misses_total", "Formulation-template requests that built a new template.", st.TemplateMisses)
-		gauge("cgramapd_artifact_template_entries", "Formulation templates held by the artifact cache.", int64(st.TemplateEntries))
-		gauge("cgramapd_artifact_template_bytes", "Approximate bytes held by cached templates.", st.TemplateBytes)
+		counter("cgramapd_artifact_template_hits_total", "Formulation-template requests served from the artifact cache.", st.Template.Hits)
+		counter("cgramapd_artifact_template_misses_total", "Formulation-template requests that built a new template.", st.Template.Misses)
+		gauge("cgramapd_artifact_template_entries", "Formulation templates held by the artifact cache.", int64(st.Template.Entries))
+		gauge("cgramapd_artifact_template_bytes", "Approximate bytes held by cached templates.", st.Template.Bytes)
 	}
 	return nil
 }

@@ -38,6 +38,7 @@ import (
 	"cgramap/internal/bench"
 	"cgramap/internal/dfg"
 	"cgramap/internal/ilp"
+	"cgramap/internal/lru"
 	"cgramap/internal/mapper"
 	"cgramap/internal/mrrg"
 	"cgramap/internal/solve/bb"
@@ -385,7 +386,11 @@ type Server struct {
 	// feeding the admission estimator.
 	avgSolveNS atomic.Int64
 
-	cache     *resultCache
+	// cache holds completed results by job fingerprint. Only definitive
+	// answers enter it: an Unknown answer is a budget artefact, not a
+	// property of the instance, and must never be served to a later
+	// submission that might have a larger budget.
+	cache     *lru.Cache[*JobResult]
 	artifacts *mapper.ArtifactCache // nil when ArtifactCacheEntries < 0
 	wg        sync.WaitGroup
 }
@@ -399,7 +404,7 @@ func New(opts Options) *Server {
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]*exec),
 		queue:    make(chan *exec, opts.QueueDepth),
-		cache:    newResultCache(opts.CacheEntries),
+		cache:    lru.New[*JobResult](opts.CacheEntries),
 	}
 	if opts.ArtifactCacheEntries > 0 {
 		s.artifacts = mapper.NewArtifactCache(opts.ArtifactCacheEntries)
@@ -407,7 +412,7 @@ func New(opts Options) *Server {
 	}
 	s.Metrics.workers = opts.Workers
 	s.Metrics.queueDepth = func() int { return len(s.queue) }
-	s.Metrics.cacheLen = s.cache.Len
+	s.Metrics.cacheLen = func() int { return s.cache.Stats().Entries }
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -917,7 +922,7 @@ func (s *Server) complete(ex *exec, res *JobResult, err error) {
 		close(j.done)
 	}
 	if err == nil && res != nil && !res.Degraded && res.Status != ilp.Unknown && len(ex.jobs) > 0 {
-		s.cache.Add(ex.fp, res)
+		s.cache.Add(ex.fp, res, 0)
 	}
 	s.mu.Unlock()
 	ex.cancel()

@@ -661,6 +661,52 @@ func TestKnobThreading(t *testing.T) {
 	}
 }
 
+// TestArtifactMetrics: two real solves on one fabric share its MRRG, and
+// /metrics reports both artifact classes. cgrabench's service workload
+// reads the mrrg hit and miss counters for its cache-hit fraction.
+func TestArtifactMetrics(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Shutdown(context.Background())
+	for _, kernel := range []string{"2x2-f", "accum"} {
+		req := gridReq(2) // both kernels on one fabric at one II
+		req.Benchmark = kernel
+		st, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		st, err = s.Wait(ctx, st.ID)
+		cancel()
+		if err != nil || st.State != JobDone {
+			t.Fatalf("%s: state %v, err %v", kernel, st, err)
+		}
+	}
+	values := map[string]int64{}
+	for _, line := range strings.Split(metricsText(t, s), "\n") {
+		var v int64
+		if name, val, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "cgramapd_artifact_") {
+			if _, err := fmt.Sscan(val, &v); err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			values[name] = v
+		}
+	}
+	for _, class := range []string{"mrrg", "template"} {
+		for _, series := range []string{"hits_total", "misses_total", "entries", "bytes"} {
+			name := "cgramapd_artifact_" + class + "_" + series
+			if _, ok := values[name]; !ok {
+				t.Errorf("%s absent from /metrics", name)
+			}
+		}
+		if b := values["cgramapd_artifact_"+class+"_bytes"]; b <= 0 {
+			t.Errorf("cgramapd_artifact_%s_bytes = %d, want > 0", class, b)
+		}
+	}
+	if h, m := values["cgramapd_artifact_mrrg_hits_total"], values["cgramapd_artifact_mrrg_misses_total"]; h < 1 || m < 1 {
+		t.Errorf("mrrg hits %d, misses %d; want at least 1 of each", h, m)
+	}
+}
+
 // TestAnnealJobUsesServerSeed: the server's seed reaches an anneal job,
 // which answers with the mapping anneal.Map gives for that seed.
 func TestAnnealJobUsesServerSeed(t *testing.T) {
@@ -722,6 +768,67 @@ func TestUnknownNotCached(t *testing.T) {
 	if got := calls.Load(); got != 2 {
 		t.Errorf("%d solves for two Unknown submissions, want 2 (no caching)", got)
 	}
+}
+
+// runCached submits a gridReq(contexts) job, waits for it, and reports
+// whether the result cache answered it.
+func runCached(t *testing.T, s *Server, contexts int) bool {
+	t.Helper()
+	st, err := s.Submit(gridReq(contexts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := s.Wait(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	return st.CacheHit
+}
+
+// TestResultCacheLRU: CacheEntries bounds the result cache, and a cache
+// hit refreshes recency, so the least recently used result is the one
+// solved again.
+func TestResultCacheLRU(t *testing.T) {
+	s := New(Options{Workers: 1, CacheEntries: 2, Solve: func(ctx context.Context, spec *JobSpec) (*JobResult, error) {
+		return fakeResult(spec.Fingerprint[:8]), nil
+	}})
+	defer s.Shutdown(context.Background())
+	for _, step := range []struct {
+		contexts int
+		hit      bool
+	}{
+		{1, false}, {2, false}, // cache: 2, 1
+		{1, true},  // refreshes 1: cache 1, 2
+		{3, false}, // evicts 2: cache 3, 1
+		{2, false}, // evicts 1: cache 2, 3
+		{3, true},
+	} {
+		if got := runCached(t, s, step.contexts); got != step.hit {
+			t.Fatalf("contexts %d: cache hit %v, want %v", step.contexts, got, step.hit)
+		}
+	}
+	wantMetric(t, metricsText(t, s), "cgramapd_cache_entries", 2)
+}
+
+// TestResultCacheDisabled: a negative CacheEntries stores no result, so
+// a repeated job is solved again.
+func TestResultCacheDisabled(t *testing.T) {
+	var calls atomic.Int64
+	s := New(Options{Workers: 1, CacheEntries: -1, Solve: func(ctx context.Context, spec *JobSpec) (*JobResult, error) {
+		calls.Add(1)
+		return fakeResult("uncached"), nil
+	}})
+	defer s.Shutdown(context.Background())
+	for i := 0; i < 2; i++ {
+		if runCached(t, s, 1) {
+			t.Fatal("disabled result cache answered a job")
+		}
+	}
+	if got := calls.Load(); got != 2 {
+		t.Errorf("%d solves for two submissions, want 2", got)
+	}
+	wantMetric(t, metricsText(t, s), "cgramapd_cache_entries", 0)
 }
 
 // TestPortfolioEngineRejected: a job naming the removed portfolio engine

@@ -8,52 +8,16 @@ import (
 	"cgramap/internal/arch"
 )
 
-// FabricSpec parameterises a generated fabric: the paper's grid family
-// scaled to arbitrary sizes, interconnects, context counts and
-// memory-port layouts. It is a thin, parseable veneer over
-// arch.GridSpec so sweeps can name fabrics on a command line.
-type FabricSpec struct {
-	Rows, Cols   int
-	Interconnect arch.Interconnect
-	Homogeneous  bool
-	Contexts     int
-	Torus        bool
-	// MemPortEvery shares one memory port among this many rows
-	// (<= 1: the paper's one-per-row layout).
-	MemPortEvery int
-}
-
-// GridSpec converts to the arch-level spec, defaulting Contexts to 1.
-func (s FabricSpec) GridSpec() arch.GridSpec {
-	contexts := s.Contexts
-	if contexts < 1 {
-		contexts = 1
-	}
-	return arch.GridSpec{
-		Rows: s.Rows, Cols: s.Cols,
-		Interconnect: s.Interconnect,
-		Homogeneous:  s.Homogeneous,
-		Contexts:     contexts,
-		Torus:        s.Torus,
-		MemPortEvery: s.MemPortEvery,
-	}
-}
-
-// Name is the canonical architecture name (arch.GridSpec.Name).
-func (s FabricSpec) Name() string { return s.GridSpec().Name() }
-
-// Fabric builds the fabric's architecture netlist.
-func Fabric(s FabricSpec) (*arch.Arch, error) { return arch.Grid(s.GridSpec()) }
-
-// ParseFabric parses a compact fabric description of the form
+// ParseFabric parses a compact fabric description into the grid it
+// names. Descriptions have the form
 //
 //	RxC[:token,token,...]
 //
 // with tokens orth|diag, homo|hetero, torus, cN (contexts) and memN
 // (memory-port stride). Defaults: orthogonal, homogeneous, c1, mem1.
 // Examples: "8x8", "16x16:diag,hetero,c2", "8x8:diag,mem4".
-func ParseFabric(desc string) (FabricSpec, error) {
-	spec := FabricSpec{Homogeneous: true, Contexts: 1}
+func ParseFabric(desc string) (arch.GridSpec, error) {
+	spec := arch.GridSpec{Homogeneous: true, Contexts: 1}
 	dims, opts, _ := strings.Cut(desc, ":")
 	rs, cs, ok := strings.Cut(dims, "x")
 	if !ok {
@@ -99,8 +63,8 @@ func ParseFabric(desc string) (FabricSpec, error) {
 // ParseFabrics parses a comma-free list of fabric descriptions (the
 // descriptions themselves use commas, so the list separator is ';' or
 // whitespace).
-func ParseFabrics(list string) ([]FabricSpec, error) {
-	var specs []FabricSpec
+func ParseFabrics(list string) ([]arch.GridSpec, error) {
+	var specs []arch.GridSpec
 	for _, f := range strings.FieldsFunc(list, func(r rune) bool { return r == ';' || r == ' ' }) {
 		s, err := ParseFabric(f)
 		if err != nil {
@@ -117,8 +81,8 @@ func ParseFabrics(list string) ([]FabricSpec, error) {
 // StandardFabrics is the default exploration ladder: the paper's 4x4
 // scaled through 8x8 to 16x16, plus a heterogeneous and a memory-poor
 // 8x8 variant.
-func StandardFabrics() []FabricSpec {
-	return []FabricSpec{
+func StandardFabrics() []arch.GridSpec {
+	return []arch.GridSpec{
 		{Rows: 4, Cols: 4, Interconnect: arch.Diagonal, Homogeneous: true, Contexts: 1},
 		{Rows: 8, Cols: 8, Interconnect: arch.Diagonal, Homogeneous: true, Contexts: 1},
 		{Rows: 8, Cols: 8, Interconnect: arch.Diagonal, Homogeneous: false, Contexts: 1},

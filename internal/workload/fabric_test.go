@@ -11,13 +11,13 @@ import (
 func TestParseFabric(t *testing.T) {
 	cases := []struct {
 		desc string
-		want FabricSpec
+		want arch.GridSpec
 	}{
-		{"4x4", FabricSpec{Rows: 4, Cols: 4, Homogeneous: true, Contexts: 1}},
-		{"8x8:diag", FabricSpec{Rows: 8, Cols: 8, Interconnect: arch.Diagonal, Homogeneous: true, Contexts: 1}},
-		{"8x8:diag,hetero,c2", FabricSpec{Rows: 8, Cols: 8, Interconnect: arch.Diagonal, Contexts: 2}},
-		{"16x16:torus,mem4", FabricSpec{Rows: 16, Cols: 16, Homogeneous: true, Contexts: 1, Torus: true, MemPortEvery: 4}},
-		{"2x6:orth,homo,c3,mem2", FabricSpec{Rows: 2, Cols: 6, Interconnect: arch.Orthogonal, Homogeneous: true, Contexts: 3, MemPortEvery: 2}},
+		{"4x4", arch.GridSpec{Rows: 4, Cols: 4, Homogeneous: true, Contexts: 1}},
+		{"8x8:diag", arch.GridSpec{Rows: 8, Cols: 8, Interconnect: arch.Diagonal, Homogeneous: true, Contexts: 1}},
+		{"8x8:diag,hetero,c2", arch.GridSpec{Rows: 8, Cols: 8, Interconnect: arch.Diagonal, Contexts: 2}},
+		{"16x16:torus,mem4", arch.GridSpec{Rows: 16, Cols: 16, Homogeneous: true, Contexts: 1, Torus: true, MemPortEvery: 4}},
+		{"2x6:orth,homo,c3,mem2", arch.GridSpec{Rows: 2, Cols: 6, Interconnect: arch.Orthogonal, Homogeneous: true, Contexts: 3, MemPortEvery: 2}},
 	}
 	for _, tc := range cases {
 		got, err := ParseFabric(tc.desc)
@@ -66,7 +66,7 @@ func TestParseFabrics(t *testing.T) {
 func TestStandardFabricsBuild(t *testing.T) {
 	seen := map[string]bool{}
 	for _, fs := range StandardFabrics() {
-		a, err := Fabric(fs)
+		a, err := arch.Grid(fs)
 		if err != nil {
 			t.Fatalf("%s: %v", fs.Name(), err)
 		}
@@ -89,10 +89,10 @@ func TestStandardFabricsBuild(t *testing.T) {
 func TestFabricXMLStable(t *testing.T) {
 	// Generated fabrics serialise deterministically — the property the
 	// fuzz corpus and CI smoke job rely on.
-	fs := FabricSpec{Rows: 8, Cols: 8, Interconnect: arch.Diagonal, Homogeneous: true, Contexts: 1, MemPortEvery: 4}
+	fs := arch.GridSpec{Rows: 8, Cols: 8, Interconnect: arch.Diagonal, Homogeneous: true, Contexts: 1, MemPortEvery: 4}
 	var a, b strings.Builder
 	for _, w := range []*strings.Builder{&a, &b} {
-		ar, err := Fabric(fs)
+		ar, err := arch.Grid(fs)
 		if err != nil {
 			t.Fatal(err)
 		}

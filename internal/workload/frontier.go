@@ -27,7 +27,7 @@ type FrontierSpec struct {
 	MinN int `json:"min_n"`
 	MaxN int `json:"max_n"`
 	// Fabrics are the architectures swept.
-	Fabrics []FabricSpec `json:"fabrics"`
+	Fabrics []arch.GridSpec `json:"fabrics"`
 	// IIs are the context counts tried per fabric (default: each
 	// fabric's own context count).
 	IIs []int `json:"iis"`
@@ -141,10 +141,10 @@ func RunFrontier(ctx context.Context, spec FrontierSpec, opts FrontierOptions) (
 		iis := spec.IIs
 		if len(iis) == 0 {
 			// Default: each fabric solved at its own context count.
-			iis = []int{fs.GridSpec().Contexts}
+			iis = []int{fs.Contexts}
 		}
 		for _, ii := range iis {
-			gs := fs.GridSpec()
+			gs := fs
 			gs.Contexts = ii
 			device, err := buildDevice(gs, opts.Mapper.Artifacts)
 			if err != nil {

@@ -34,7 +34,7 @@ func stubSpec() FrontierSpec {
 		Family: Reduce, // rung n has n-1 internal ops
 		MinN:   1,
 		MaxN:   64,
-		Fabrics: []FabricSpec{
+		Fabrics: []arch.GridSpec{
 			{Rows: 2, Cols: 2, Homogeneous: true, Contexts: 1},
 		},
 	}
@@ -235,7 +235,7 @@ func TestFrontier8x8Bracket(t *testing.T) {
 		Family: Dot,
 		MinN:   1,
 		MaxN:   17,
-		Fabrics: []FabricSpec{
+		Fabrics: []arch.GridSpec{
 			{Rows: 8, Cols: 8, Interconnect: arch.Diagonal, Homogeneous: true, Contexts: 1},
 		},
 	}

@@ -74,8 +74,8 @@ func TestGeneratedDFGRoundTrip(t *testing.T) {
 // XML that reads back and re-serialises byte-identically, preserving
 // the architecture fingerprint.
 func TestGeneratedFabricRoundTrip(t *testing.T) {
-	property := func(spec FabricSpec) bool {
-		a, err := Fabric(spec)
+	property := func(spec arch.GridSpec) bool {
+		a, err := arch.Grid(spec)
 		if err != nil {
 			t.Logf("%s: build: %v", spec.Name(), err)
 			return false
@@ -108,7 +108,7 @@ func TestGeneratedFabricRoundTrip(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 30,
 		Values: func(vals []reflect.Value, rng *rand.Rand) {
-			spec := FabricSpec{
+			spec := arch.GridSpec{
 				Rows:        1 + rng.Intn(8),
 				Cols:        1 + rng.Intn(8),
 				Homogeneous: rng.Intn(2) == 0,
