@@ -1,14 +1,15 @@
 package ilp
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -141,8 +142,7 @@ func refLPName(m *Model, v Var) string {
 	return fmt.Sprintf("%s_v%d", name, int(v))
 }
 
-func refWriteLP(m *Model, w io.Writer) error {
-	bw := bufio.NewWriter(w)
+func refWriteLP(m *Model, bw io.Writer) error {
 	name := strings.NewReplacer("\n", " ", "\r", " ").Replace(m.Name)
 	fmt.Fprintf(bw, "\\ Model: %s (%d binaries, %d constraints)\n", name, m.NumVars(), len(m.Constraints))
 	fmt.Fprintln(bw, "Minimize")
@@ -170,8 +170,8 @@ func refWriteLP(m *Model, w io.Writer) error {
 	for v := 0; v < m.NumVars(); v++ {
 		fmt.Fprintf(bw, " %s\n", refLPName(m, Var(v)))
 	}
-	fmt.Fprintln(bw, "End")
-	return bw.Flush()
+	_, err := fmt.Fprintln(bw, "End")
+	return err
 }
 
 func refWriteTerms(w io.Writer, m *Model, terms []Term) {
@@ -299,6 +299,38 @@ func TestWriteLPAllocs(t *testing.T) {
 	a, b := allocs(small), allocs(large)
 	if a != b || b > 3 {
 		t.Errorf("WriteLP allocations: %v on 10 variables, %v on 20000; want the same small constant", a, b)
+	}
+}
+
+// TestWriteLPBytesPerVariable: the export formats each variable's name
+// once into a table, so the bytes it allocates grow with the variables
+// and not with the references to them. On the model of TestWriteLPAllocs
+// (20,000 composite names, 40,000 references) one export stays within a
+// fixed number of bytes per variable: 1.25x the count measured when the
+// bound was set, rounded down.
+func TestWriteLPBytesPerVariable(t *testing.T) {
+	const n, bound = 20000, 49
+	m := NewModel("bytes")
+	for i := 0; i < n; i++ {
+		m.BinaryComposite("R", "c0.pe_1_2.mux", "v[é]", i%3-1)
+	}
+	for i := 0; i+1 < n; i++ {
+		m.AddLE("pair", []Term{{Var(i), 1}, {Var(i + 1), -2}}, 1)
+	}
+	m.AddEQ("wide", Sum(make([]Var, n)...), 1)
+	perVar := math.MaxFloat64
+	for run := 0; run < 3; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := m.WriteLP(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perVar = min(perVar, float64(after.TotalAlloc-before.TotalAlloc)/n)
+	}
+	t.Logf("%.2f bytes per variable (bound %v)", perVar, bound)
+	if perVar > bound {
+		t.Errorf("WriteLP allocates %.2f bytes per variable, want at most %v", perVar, bound)
 	}
 }
 

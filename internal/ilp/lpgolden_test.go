@@ -17,7 +17,11 @@ import (
 // naming, sanitising, term layout or constraint order fails here. The
 // cases cover both context counts, both interconnects, both fabric
 // kinds, the routing objective (coefficients other than ±1), disabled
-// pruning and symmetry-breaking ("SE") variables.
+// pruning and symmetry-breaking ("SE") variables. The last two were
+// taken from the map-backed stamp the dense node-indexed rows replaced:
+// add_10 with every symmetry group, distinct-ports and the objective
+// (20,794 variables), and mult_10 on the 8x8 fabric of the formulate
+// benchmark (160,792 variables).
 func TestWriteLPGoldenDigests(t *testing.T) {
 	cases := []struct {
 		kernel string
@@ -31,6 +35,8 @@ func TestWriteLPGoldenDigests(t *testing.T) {
 		{"add_10", arch.GridSpec{Rows: 4, Cols: 4, Interconnect: arch.Orthogonal, Homogeneous: false, Contexts: 1}, mapper.Options{Objective: mapper.MinimizeRouting}, "71a1a031398b0d1038b97172a6b6076e30f1d88e0add945c4a074dd71e34b3c1"},
 		{"mac", arch.GridSpec{Rows: 4, Cols: 4, Interconnect: arch.Diagonal, Homogeneous: true, Contexts: 1}, mapper.Options{Symmetry: mapper.SymmetryOn}, "91de1da5dedf914dace2181c2c7abbdd9cb7550209cb19e332ed01a10f3cc0a0"},
 		{"2x2-f", arch.GridSpec{Rows: 4, Cols: 4, Interconnect: arch.Orthogonal, Homogeneous: true, Contexts: 2}, mapper.Options{DisablePruning: true}, "8374a6e22aa2e0b4447651b44a3f0597b5810147f0fd779de5390444da78593b"},
+		{"add_10", arch.GridSpec{Rows: 4, Cols: 4, Interconnect: arch.Diagonal, Homogeneous: true, Contexts: 1}, mapper.Options{Symmetry: mapper.SymmetryOn, Objective: mapper.MinimizeRouting}, "ba076d8e6aeec1afcc11b25161383b2e1fe0e4015559dcf3206336308d9e1df6"},
+		{"mult_10", arch.GridSpec{Rows: 8, Cols: 8, Interconnect: arch.Diagonal, Homogeneous: true, Contexts: 2}, mapper.Options{}, "0c6ef6aeae1595e54eba316a4d9eec1c02357820416501ceb87bb0efc57c8061"},
 	}
 	for _, c := range cases {
 		name := c.kernel + "/" + c.spec.Name()

@@ -1,8 +1,9 @@
 package ilp
 
 import (
-	"bufio"
+	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"unicode/utf8"
 )
@@ -16,28 +17,50 @@ var lpSafe = func() (t [utf8.RuneSelf]bool) {
 	return t
 }()
 
-// lpFlushAt bounds the line buffer: a line longer than this (a wide
-// constraint) is handed to the bufio.Writer in pieces, so the buffer
-// never grows and an export allocates the same few objects whatever
-// the model's size.
-const lpFlushAt = 4096
+// lpFlushAt is the size at which the assembled text is handed to the
+// destination writer. A line that runs past it (a wide constraint) is
+// handed over in pieces, so the buffer, allocated with lpFlushAt of
+// headroom, never grows and an export allocates the same three objects
+// whatever the model's size.
+const lpFlushAt = 32 << 10
 
-// lpWriter assembles the LP text one line at a time in buf and flushes
-// each finished line into bw. The first write error is kept and ends
-// the export early.
+// lpWriter assembles the LP text in buf and hands it to w in chunks of
+// about lpFlushAt bytes. names holds every declared variable's LP name,
+// formatted once: variable v's is names[offs[v]:offs[v+1]]. The first
+// write error is kept and ends the export early.
 type lpWriter struct {
-	m   *Model
-	bw  *bufio.Writer
-	buf []byte
-	err error
+	m     *Model
+	w     io.Writer
+	buf   []byte
+	names []byte
+	offs  []int32
+	err   error
 }
 
 func (w *lpWriter) flush() error {
-	if w.err == nil {
-		_, w.err = w.bw.Write(w.buf)
+	if w.err == nil && len(w.buf) > 0 {
+		_, w.err = w.w.Write(w.buf)
 	}
 	w.buf = w.buf[:0]
 	return w.err
+}
+
+// flushFull flushes once the buffer has passed lpFlushAt.
+func (w *lpWriter) flushFull() error {
+	if len(w.buf) >= lpFlushAt {
+		return w.flush()
+	}
+	return w.err
+}
+
+// name appends v's LP name: a copy from the table for a declared
+// variable, the "x<index>" fallback otherwise.
+func (w *lpWriter) name(v Var) {
+	if int(v) >= 0 && int(v) < len(w.offs)-1 {
+		w.buf = append(w.buf, w.names[w.offs[v]:w.offs[v+1]]...)
+		return
+	}
+	w.buf = w.m.appendLPName(w.buf, v)
 }
 
 // WriteLP serialises the model in the CPLEX LP file format, so that
@@ -51,7 +74,11 @@ func (w *lpWriter) flush() error {
 // it to keep names unique. Newlines in the model name are written as
 // spaces so the header stays one comment line.
 func (m *Model) WriteLP(w io.Writer) error {
-	lw := &lpWriter{m: m, bw: bufio.NewWriter(w), buf: make([]byte, 0, 2*lpFlushAt)}
+	names, offs, err := m.lpNames()
+	if err != nil {
+		return err
+	}
+	lw := &lpWriter{m: m, w: w, buf: make([]byte, 0, 2*lpFlushAt), names: names, offs: offs}
 	lw.buf = append(lw.buf, `\ Model: `...)
 	for i := 0; i < len(m.Name); i++ {
 		c := m.Name[i]
@@ -69,14 +96,15 @@ func (m *Model) WriteLP(w io.Writer) error {
 		lw.buf = append(lw.buf, " 0"...)
 		if m.NumVars() > 0 {
 			// LP format needs at least one variable reference.
-			lw.buf = m.appendLPName(append(lw.buf, ' '), 0)
-			lw.buf = m.appendLPName(append(lw.buf, " - "...), 0)
+			lw.buf = append(lw.buf, ' ')
+			lw.name(0)
+			lw.buf = append(lw.buf, " - "...)
+			lw.name(0)
 		}
 	} else {
 		lw.terms(m.Objective)
 	}
 	lw.buf = append(lw.buf, "\nSubject To\n"...)
-	lw.flush()
 	for i := range m.Constraints {
 		c := &m.Constraints[i]
 		lw.buf = strconv.AppendInt(append(lw.buf, " c"...), int64(i), 10)
@@ -87,22 +115,21 @@ func (m *Model) WriteLP(w io.Writer) error {
 		}
 		lw.buf = append(append(append(lw.buf, ' '), c.Rel.String()...), ' ')
 		lw.buf = append(strconv.AppendInt(lw.buf, int64(c.RHS), 10), '\n')
-		if lw.flush() != nil {
+		if lw.flushFull() != nil {
 			return lw.err
 		}
 	}
 	lw.buf = append(lw.buf, "Binary\n"...)
 	for v := 0; v < m.NumVars(); v++ {
-		lw.buf = append(m.appendLPName(append(lw.buf, ' '), Var(v)), '\n')
-		if lw.flush() != nil {
+		lw.buf = append(lw.buf, ' ')
+		lw.name(Var(v))
+		lw.buf = append(lw.buf, '\n')
+		if lw.flushFull() != nil {
 			return lw.err
 		}
 	}
 	lw.buf = append(lw.buf, "End\n"...)
-	if lw.flush() != nil {
-		return lw.err
-	}
-	return lw.bw.Flush()
+	return lw.flush()
 }
 
 // terms appends a linear expression, flushing mid-line once the buffer
@@ -119,11 +146,45 @@ func (w *lpWriter) terms(ts []Term) {
 		default:
 			w.buf = append(strconv.AppendInt(append(w.buf, " + "...), int64(t.Coef), 10), ' ')
 		}
-		w.buf = w.m.appendLPName(w.buf, t.Var)
-		if len(w.buf) >= lpFlushAt {
-			w.flush()
-		}
+		w.name(t.Var)
+		w.flushFull()
 	}
+}
+
+// lpNames formats every declared variable's LP name once, into one byte
+// table and its offsets: name v is names[offs[v]:offs[v+1]]. The table
+// is sized up front from an upper bound (sanitising never lengthens a
+// name part), so it is allocated exactly once.
+func (m *Model) lpNames() (names []byte, offs []int32, err error) {
+	size := 0
+	for v := range m.names {
+		n := &m.names[v]
+		// '_' guard, prefix, "_a_b_k_" and "_v<index>".
+		size += 1 + len(n.prefix) + 4 + len(n.a) + len(n.b) + decimalLen(int64(n.k)) + 2 + decimalLen(int64(v))
+	}
+	if size > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("ilp %s: LP names need %d bytes, more than an export can index", m.Name, size)
+	}
+	names = make([]byte, 0, size)
+	offs = make([]int32, len(m.names)+1)
+	for v := range m.names {
+		names = m.appendLPName(names, Var(v))
+		offs[v+1] = int32(len(names))
+	}
+	return names, offs, nil
+}
+
+// decimalLen is the length of n written in base 10, sign included.
+func decimalLen(n int64) int {
+	l := 1
+	if n < 0 {
+		l++
+		n = -n
+	}
+	for ; n >= 10; n /= 10 {
+		l++
+	}
+	return l
 }
 
 // appendLPName appends v's LP name, sanitised straight from the stored

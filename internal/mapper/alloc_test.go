@@ -64,14 +64,14 @@ func TestAllocationBounds(t *testing.T) {
 		run  func(t *testing.T)
 		max  float64
 	}{
-		{"formulate/2x2-f", build("2x2-f", Options{}), 10520},
-		{"formulate/accum", build("accum", Options{}), 12923},
-		{"formulate/extreme", build("extreme", Options{}), 15812},
-		{"formulate/template", build("accum", Options{Artifacts: NewArtifactCache(4)}), 10131},
-		{"mapauto/scratch", ladder("mult_10", hetero, Options{Symmetry: SymmetryOff}), 35347},
-		{"mapauto/sym", ladder("mac", homo3, Options{Symmetry: SymmetryOn}), 64302},
-		{"mapauto/nosym", ladder("mac", homo3, Options{Symmetry: SymmetryOff}), 72661},
-		{"mapauto/cached", ladder("mult_10", hetero, Options{Symmetry: SymmetryOff, Artifacts: NewArtifactCache(8)}), 28731},
+		{"formulate/2x2-f", build("2x2-f", Options{}), 3136},
+		{"formulate/accum", build("accum", Options{}), 3278},
+		{"formulate/extreme", build("extreme", Options{}), 3643},
+		{"formulate/template", build("accum", Options{Artifacts: NewArtifactCache(4)}), 482},
+		{"mapauto/scratch", ladder("mult_10", hetero, Options{Symmetry: SymmetryOff}), 27958},
+		{"mapauto/sym", ladder("mac", homo3, Options{Symmetry: SymmetryOn}), 58472},
+		{"mapauto/nosym", ladder("mac", homo3, Options{Symmetry: SymmetryOff}), 66828},
+		{"mapauto/cached", ladder("mult_10", hetero, Options{Symmetry: SymmetryOff, Artifacts: NewArtifactCache(8)}), 21317},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := testing.AllocsPerRun(1, func() { tc.run(t) })

@@ -29,7 +29,7 @@ import (
 // a scratch one by construction (the CI equivalence job pins this).
 
 // formulation is the ILP model of one mapping instance, plus the
-// variable maps needed to decode a solution.
+// node-indexed variable rows needed to decode a solution.
 type formulation struct {
 	g  *dfg.Graph
 	mg *mrrg.Graph
@@ -37,12 +37,12 @@ type formulation struct {
 	model *ilp.Model
 
 	// fvar[opID][fuNode] is the placement variable F_{p,q}.
-	fvar []map[int]ilp.Var
+	fvar []varRow
 	// r2[valID][routeNode] is the value-level routing variable R_{i,j}.
-	r2 []map[int]ilp.Var
+	r2 []varRow
 	// r3[valID][sinkIdx][routeNode] is the sink-level routing variable
-	// R_{i,j,k}. Its key set is the sub-value's allowed node set.
-	r3 [][]map[int]ilp.Var
+	// R_{i,j,k}. Its variables sit on the sub-value's allowed node set.
+	r3 [][]varRow
 
 	// infeasible holds a human-readable reason when the instance was
 	// proven infeasible during construction (presolve / pruning).
@@ -51,6 +51,24 @@ type formulation struct {
 	// reserved is the capacity the stamp reserved up front from
 	// stamper.coldSize, before emitting anything.
 	reserved modelSize
+}
+
+// noVar marks a node that has no variable in a varRow.
+const noVar ilp.Var = -1
+
+// varRow holds one operation's, value's or sub-value's variables indexed
+// by MRRG node ID, noVar where the node has none. Walking a row in index
+// order visits its variables in node order, so no map order or sort
+// ever decides variable numbering or constraint order: seeded runs must
+// be reproducible across processes.
+type varRow []ilp.Var
+
+// get returns the variable on node i, if there is one.
+func (r varRow) get(i int) (ilp.Var, bool) {
+	if i < 0 || i >= len(r) || r[i] == noVar {
+		return noVar, false
+	}
+	return r[i], true
 }
 
 // modelSize is a variable, constraint and constraint-term count.
@@ -243,12 +261,6 @@ type stamper struct {
 	// copies its input, so one buffer serves every constraint without
 	// per-constraint slice allocations.
 	terms []ilp.Term
-	// keys is the scratch buffer for iterating the routing-variable
-	// maps in sorted node order. Map iteration order must never reach
-	// the model: variable numbering and constraint order would then
-	// vary run to run, and with them the solver's entire search path —
-	// seeded runs have to be reproducible across processes.
-	keys []int
 
 	queue    []int
 	fwd, bwd []bool
@@ -277,7 +289,7 @@ func (t *Template) stamp(mg *mrrg.Graph) (*formulation, error) {
 	s.t, s.mg, s.f = t, mg, f
 	err := s.run()
 	// Release the scratch for the next stamp; the formulation keeps
-	// only the model and the decode maps, never arena-backed slices.
+	// only the model and the decode rows, never arena-backed slices.
 	s.t, s.mg, s.f = nil, nil, nil
 	t.scratch.Put(s)
 	return f, err
@@ -317,25 +329,16 @@ func (s *stamper) run() error {
 		s.addSymmetryConstraints()
 	}
 	if t.objective == MinimizeRouting {
-		for j := range f.r2 {
-			s.keys = sortedKeys(s.keys, f.r2[j])
-			for _, i := range s.keys {
-				f.model.Objective = append(f.model.Objective,
-					ilp.Term{Var: f.r2[j][i], Coef: s.mg.Nodes[i].Cost})
+		for _, row := range f.r2 {
+			for i, rv := range row {
+				if rv != noVar {
+					f.model.Objective = append(f.model.Objective,
+						ilp.Term{Var: rv, Coef: s.mg.Nodes[i].Cost})
+				}
 			}
 		}
 	}
 	return f.model.Validate()
-}
-
-// sortedKeys returns m's keys ascending, reusing buf.
-func sortedKeys(buf []int, m map[int]ilp.Var) []int {
-	buf = buf[:0]
-	for i := range m {
-		buf = append(buf, i)
-	}
-	sort.Ints(buf)
-	return buf
 }
 
 // boolSlice carves a zeroed n-bool slice from the arena.
@@ -684,11 +687,29 @@ func (s *stamper) coldSize(allowed [][][]bool) modelSize {
 	return z
 }
 
+// createVars numbers the variables: every operation's F variables in
+// node order, then per value its R_{i,j,k} sub-value by sub-value and
+// its R_{i,j} in node order. The rows are carved from one slab per
+// formulation.
 func (s *stamper) createVars(allowed [][][]bool) {
 	f, g, mg := s.f, s.t.g, s.mg
-	f.fvar = make([]map[int]ilp.Var, g.NumOps())
+	n := len(mg.Nodes)
+	uses := 0
+	for _, v := range g.Vals() {
+		uses += len(v.Uses)
+	}
+	slab := make([]ilp.Var, (g.NumOps()+g.NumVals()+uses)*n)
+	for i := range slab {
+		slab[i] = noVar
+	}
+	row := func() varRow {
+		r := varRow(slab[:n:n])
+		slab = slab[n:]
+		return r
+	}
+	f.fvar = make([]varRow, g.NumOps())
 	for _, op := range g.Ops() {
-		f.fvar[op.ID] = make(map[int]ilp.Var, len(s.legal[op.ID]))
+		f.fvar[op.ID] = row()
 		for _, p := range s.legal[op.ID] {
 			v := f.model.BinaryComposite("F", mg.Nodes[p].Name, op.Name, -1)
 			// Placement decisions dominate the search: branch on
@@ -701,30 +722,28 @@ func (s *stamper) createVars(allowed [][][]bool) {
 			f.fvar[op.ID][p] = v
 		}
 	}
-	f.r3 = make([][]map[int]ilp.Var, g.NumVals())
-	f.r2 = make([]map[int]ilp.Var, g.NumVals())
+	f.r3 = make([][]varRow, g.NumVals())
+	f.r2 = make([]varRow, g.NumVals())
+	subRows := make([]varRow, uses)
 	for _, v := range g.Vals() {
-		f.r3[v.ID] = make([]map[int]ilp.Var, len(v.Uses))
-		union := make(map[int]bool)
+		f.r3[v.ID], subRows = subRows[:len(v.Uses):len(v.Uses)], subRows[len(v.Uses):]
+		r2 := row()
 		for k := range v.Uses {
-			f.r3[v.ID][k] = make(map[int]ilp.Var)
+			rk := row()
 			for i, ok := range allowed[v.ID][k] {
-				if !ok {
-					continue
+				if ok {
+					rk[i] = f.model.BinaryComposite("R", mg.Nodes[i].Name, v.Name, k)
+					r2[i] = 0 // marks the union; numbered below
 				}
-				f.r3[v.ID][k][i] = f.model.BinaryComposite("R", mg.Nodes[i].Name, v.Name, k)
-				union[i] = true
+			}
+			f.r3[v.ID][k] = rk
+		}
+		for i, rv := range r2 {
+			if rv != noVar {
+				r2[i] = f.model.BinaryComposite("R", mg.Nodes[i].Name, v.Name, -1)
 			}
 		}
-		f.r2[v.ID] = make(map[int]ilp.Var, len(union))
-		s.keys = s.keys[:0]
-		for i := range union {
-			s.keys = append(s.keys, i)
-		}
-		sort.Ints(s.keys)
-		for _, i := range s.keys {
-			f.r2[v.ID][i] = f.model.BinaryComposite("R", mg.Nodes[i].Name, v.Name, -1)
-		}
+		f.r2[v.ID] = r2
 	}
 }
 
@@ -739,16 +758,17 @@ func (s *stamper) addPlacementConstraints() {
 		}
 		f.model.AddEQ("placement", s.terms, 1)
 	}
-	// (2) Functional Unit Exclusivity: at most one op per FU slot.
-	perFU := make(map[int][]ilp.Term)
-	for _, op := range g.Ops() {
-		for _, p := range s.legal[op.ID] {
-			perFU[p] = append(perFU[p], ilp.Term{Var: f.fvar[op.ID][p], Coef: 1})
-		}
-	}
+	// (2) Functional Unit Exclusivity: at most one op per FU slot,
+	// summed in op order.
 	for _, p := range s.mg.FuncUnits() {
-		if terms := perFU[p]; len(terms) > 1 {
-			f.model.AddLE("fu-exclusivity", terms, 1)
+		s.terms = s.terms[:0]
+		for _, row := range f.fvar {
+			if fv, ok := row.get(p); ok {
+				s.terms = append(s.terms, ilp.Term{Var: fv, Coef: 1})
+			}
+		}
+		if len(s.terms) > 1 {
+			f.model.AddLE("fu-exclusivity", s.terms, 1)
 		}
 	}
 }
@@ -756,25 +776,27 @@ func (s *stamper) addPlacementConstraints() {
 // addRoutingConstraints emits constraints (4) through (9).
 func (s *stamper) addRoutingConstraints() {
 	f, g, mg := s.f, s.t.g, s.mg
-	// (4) Route Exclusivity: at most one value per routing node.
-	perNode := make(map[int][]ilp.Term)
-	for _, v := range g.Vals() {
-		for i, rv := range f.r2[v.ID] {
-			perNode[i] = append(perNode[i], ilp.Term{Var: rv, Coef: 1})
-		}
-	}
+	// (4) Route Exclusivity: at most one value per routing node,
+	// summed in value order.
 	for i := range mg.Nodes {
-		if terms := perNode[i]; len(terms) > 1 {
-			f.model.AddLE("route-exclusivity", terms, 1)
+		s.terms = s.terms[:0]
+		for _, row := range f.r2 {
+			if rv, ok := row.get(i); ok {
+				s.terms = append(s.terms, ilp.Term{Var: rv, Coef: 1})
+			}
+		}
+		if len(s.terms) > 1 {
+			f.model.AddLE("route-exclusivity", s.terms, 1)
 		}
 	}
 
 	for _, v := range g.Vals() {
 		for k, u := range v.Uses {
 			rk := f.r3[v.ID][k]
-			s.keys = sortedKeys(s.keys, rk)
-			for _, i := range s.keys {
-				rv := rk[i]
+			for i, rv := range rk {
+				if rv == noVar {
+					continue
+				}
 				node := mg.Nodes[i]
 				// (5) Fanout Routing: a used node drives a
 				// downstream node with the same sub-value or
@@ -783,14 +805,14 @@ func (s *stamper) addRoutingConstraints() {
 				for _, m := range node.Fanouts {
 					mn := mg.Nodes[m]
 					if mn.Kind == mrrg.RouteRes {
-						if mv, ok := rk[m]; ok {
+						if mv, ok := rk.get(m); ok {
 							s.terms = append(s.terms, ilp.Term{Var: mv, Coef: 1})
 						}
 						continue
 					}
 					// FU fanout: i is an operand port of mn.
 					if mg.CompatibleSink(node, u.Op, u.Operand) {
-						if fv, ok := f.fvar[u.Op.ID][m]; ok {
+						if fv, ok := f.fvar[u.Op.ID].get(m); ok {
 							s.terms = append(s.terms, ilp.Term{Var: fv, Coef: 1})
 						}
 					}
@@ -805,7 +827,7 @@ func (s *stamper) addRoutingConstraints() {
 				if node.OperandPort >= 0 {
 					p := node.FUNode
 					if mg.CompatibleSink(node, u.Op, u.Operand) {
-						if fv, ok := f.fvar[u.Op.ID][p]; ok {
+						if fv, ok := f.fvar[u.Op.ID].get(p); ok {
 							f.model.AddGE("implied-placement",
 								[]ilp.Term{{Var: fv, Coef: 1}, {Var: rv, Coef: -1}}, 0)
 						} else {
@@ -830,7 +852,7 @@ func (s *stamper) addRoutingConstraints() {
 			out := mg.Nodes[p].OutNode
 			fv := f.fvar[def.ID][p]
 			for k := range v.Uses {
-				if rv, ok := f.r3[v.ID][k][out]; ok {
+				if rv, ok := f.r3[v.ID][k].get(out); ok {
 					f.model.AddEQ("initial-fanout",
 						[]ilp.Term{{Var: rv, Coef: 1}, {Var: fv, Coef: -1}}, 0)
 				} else {
@@ -854,15 +876,12 @@ func (s *stamper) addRoutingConstraints() {
 			if len(op.In) != 2 || op.In[0] != op.In[1] || op.In[0] != v {
 				continue
 			}
-			k0 := useIndex(v, op, 0)
-			k1 := useIndex(v, op, 1)
-			s.keys = sortedKeys(s.keys, f.r3[v.ID][k0])
-			for _, i := range s.keys {
-				rv0 := f.r3[v.ID][k0][i]
-				if mg.Nodes[i].OperandPort < 0 {
+			r1 := f.r3[v.ID][useIndex(v, op, 1)]
+			for i, rv0 := range f.r3[v.ID][useIndex(v, op, 0)] {
+				if rv0 == noVar || mg.Nodes[i].OperandPort < 0 {
 					continue
 				}
-				if rv1, ok := f.r3[v.ID][k1][i]; ok {
+				if rv1, ok := r1.get(i); ok {
 					f.model.AddLE("distinct-ports",
 						[]ilp.Term{{Var: rv0, Coef: 1}, {Var: rv1, Coef: 1}}, 1)
 				}
@@ -873,16 +892,14 @@ func (s *stamper) addRoutingConstraints() {
 		// nodes the value enters through exactly as many inputs as
 		// the node is used — preventing self-reinforcing loops
 		// (paper Example 2) and forcing per-value route trees.
-		s.keys = sortedKeys(s.keys, f.r2[v.ID])
-		for _, i := range s.keys {
-			rv := f.r2[v.ID][i]
-			node := mg.Nodes[i]
-			if len(node.Fanins) <= 1 {
+		r2 := f.r2[v.ID]
+		for i, rv := range r2 {
+			if rv == noVar || len(mg.Nodes[i].Fanins) <= 1 {
 				continue
 			}
 			s.terms = append(s.terms[:0], ilp.Term{Var: rv, Coef: -1})
-			for _, m := range node.Fanins {
-				if mv, ok := f.r2[v.ID][m]; ok {
+			for _, m := range mg.Nodes[i].Fanins {
+				if mv, ok := r2.get(m); ok {
 					s.terms = append(s.terms, ilp.Term{Var: mv, Coef: 1})
 				}
 			}

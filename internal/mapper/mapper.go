@@ -3,7 +3,6 @@ package mapper
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"cgramap/internal/budget"
@@ -233,7 +232,7 @@ func (f *formulation) decode(a ilp.Assignment) (*Mapping, error) {
 	for _, op := range f.g.Ops() {
 		m.Placement[op.ID] = -1
 		for p, v := range f.fvar[op.ID] {
-			if a[v] {
+			if v != noVar && a[v] {
 				if m.Placement[op.ID] >= 0 {
 					return nil, fmt.Errorf("mapper: op %s placed twice", op.Name)
 				}
@@ -247,13 +246,12 @@ func (f *formulation) decode(a ilp.Assignment) (*Mapping, error) {
 	for _, val := range f.g.Vals() {
 		m.Routes[val.ID] = make([][]int, len(val.Uses))
 		for k := range val.Uses {
-			var nodes []int
+			var nodes []int // ascending: the row is walked in node order
 			for i, v := range f.r3[val.ID][k] {
-				if a[v] {
+				if v != noVar && a[v] {
 					nodes = append(nodes, i)
 				}
 			}
-			sort.Ints(nodes)
 			m.Routes[val.ID][k] = m.trimRoute(val, k, nodes)
 		}
 	}

@@ -135,7 +135,8 @@ func (s *stamper) liftGenFU(gen *arch.Automorphism) ([]int, bool) {
 	// Closure of every operation's placement support under the lift.
 	for _, op := range s.t.g.Ops() {
 		for _, p := range s.legal[op.ID] {
-			if _, ok := s.f.fvar[op.ID][lift[p]]; !ok {
+			// get also rejects lift[p] == -1, a node without an image.
+			if _, ok := s.f.fvar[op.ID].get(lift[p]); !ok {
 				return nil, false
 			}
 		}
@@ -213,7 +214,7 @@ func (s *stamper) addOrbitFixing() {
 		if repNode == nil {
 			continue
 		}
-		if _, ok := f.fvar[t.anchorOp][repNode.ID]; !ok {
+		if _, ok := f.fvar[t.anchorOp].get(repNode.ID); !ok {
 			continue
 		}
 		s.terms = append(s.terms, ilp.Term{Var: f.fvar[t.anchorOp][p], Coef: 1})
