@@ -34,7 +34,6 @@ import (
 	"cgramap/internal/sched"
 	"cgramap/internal/service"
 	"cgramap/internal/sim"
-	"cgramap/internal/solve/bb"
 	"cgramap/internal/solve/cdcl"
 	"cgramap/internal/visual"
 	"cgramap/internal/workload"
@@ -191,10 +190,6 @@ func SetWorkerBudget(n int) { budget.SetGlobal(n) }
 
 // WorkerBudgetSize reports the process-wide worker budget's capacity.
 func WorkerBudgetSize() int { return budget.Global().Size() }
-
-// NewBranchBoundSolver returns the LP-relaxation branch-and-bound engine
-// (tractable on small instances; used for cross-checking).
-func NewBranchBoundSolver() Solver { return bb.New() }
 
 // MapFunc is a drop-in replacement for the direct mapping pipeline (see
 // MapOptions.MapWith).
@@ -384,7 +379,7 @@ func KernelFamilies() []KernelFamily { return workload.Families() }
 
 // ParseFabric parses a compact fabric description such as
 // "8x8:diag,hetero,c2" or "16x16:torus,mem4"; Grid builds it.
-func ParseFabric(desc string) (GridSpec, error) { return workload.ParseFabric(desc) }
+func ParseFabric(desc string) (GridSpec, error) { return arch.ParseFabric(desc) }
 
 // StandardFabrics is the default exploration ladder from the paper's
 // 4x4 through 16x16.

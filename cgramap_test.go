@@ -60,8 +60,8 @@ func TestFacadeBuildersAndParsers(t *testing.T) {
 	if err != nil || a2.Name != a.Name {
 		t.Errorf("XML round trip: %v", err)
 	}
-	if NewCDCLSolver() == nil || NewBranchBoundSolver() == nil {
-		t.Error("solver constructors returned nil")
+	if NewCDCLSolver() == nil {
+		t.Error("solver constructor returned nil")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Command archgen emits CGRA architectures in the XML description
 // language. With -all it writes the paper's eight Table 2 architectures
-// into a directory; otherwise it prints one architecture built from the
-// grid flags to stdout.
+// into a directory; otherwise it prints the grid named by -fabric (a
+// description such as 8x8:diag,hetero,c2; default 4x4) to stdout.
 package main
 
 import (
@@ -15,22 +15,21 @@ import (
 
 func main() {
 	var (
-		all      = flag.Bool("all", false, "write all eight paper architectures")
-		outDir   = flag.String("dir", ".", "output directory for -all")
-		rows     = flag.Int("rows", 4, "grid rows")
-		cols     = flag.Int("cols", 4, "grid columns")
-		contexts = flag.Int("contexts", 1, "execution contexts")
-		diagonal = flag.Bool("diagonal", false, "diagonal interconnect")
-		hetero   = flag.Bool("heterogeneous", false, "multipliers in only half the blocks")
+		all    = flag.Bool("all", false, "write all eight paper architectures")
+		outDir = flag.String("dir", ".", "output directory for -all")
+		fabric = flag.String("fabric", "", "grid description RxC[:orth|diag,homo|hetero,torus,cN,memN] (default "+arch.DefaultFabric+"; not with -all)")
 	)
 	flag.Parse()
-	if err := run(*all, *outDir, *rows, *cols, *contexts, *diagonal, *hetero); err != nil {
+	if err := run(*all, *outDir, *fabric); err != nil {
 		fmt.Fprintln(os.Stderr, "archgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(all bool, outDir string, rows, cols, contexts int, diagonal, hetero bool) error {
+func run(all bool, outDir, fabric string) error {
+	if all && fabric != "" {
+		return fmt.Errorf("-all writes the paper's architectures; -fabric does not apply")
+	}
 	if all {
 		for _, spec := range arch.PaperArchitectures() {
 			a, err := arch.Grid(spec)
@@ -53,16 +52,7 @@ func run(all bool, outDir string, rows, cols, contexts int, diagonal, hetero boo
 		}
 		return nil
 	}
-	ic := arch.Orthogonal
-	if diagonal {
-		ic = arch.Diagonal
-	}
-	a, err := arch.Grid(arch.GridSpec{
-		Rows: rows, Cols: cols,
-		Interconnect: ic,
-		Homogeneous:  !hetero,
-		Contexts:     contexts,
-	})
+	a, err := arch.Load("", fabric, 0)
 	if err != nil {
 		return err
 	}

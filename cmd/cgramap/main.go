@@ -4,11 +4,13 @@
 //
 // The application comes from -dfg (textual DFG file) or -benchmark (one
 // of the paper's Table 1 kernels); the architecture from -arch (XML
-// description) or the -grid family of flags. Examples:
+// description) or -fabric (a grid description such as
+// 8x8:diag,hetero,c2; default 4x4). -contexts overrides either one's
+// context count. Examples:
 //
-//	cgramap -benchmark accum -rows 4 -cols 4 -contexts 2 -diagonal
-//	cgramap -dfg kernel.dfg -arch mycgra.xml -objective routing
-//	cgramap -benchmark mac -contexts 1 -lp model.lp   # export, don't solve
+//	cgramap -benchmark accum -fabric 4x4:diag,c2
+//	cgramap -dfg kernel.dfg -arch mycgra.xml -contexts 2 -objective routing
+//	cgramap -benchmark mac -lp model.lp   # export, don't solve
 package main
 
 import (
@@ -27,42 +29,36 @@ import (
 	"cgramap/internal/ilp"
 	"cgramap/internal/mapper"
 	"cgramap/internal/mrrg"
-	"cgramap/internal/service"
 	"cgramap/internal/sim"
 	"cgramap/internal/visual"
 )
 
 // runOpts carries one invocation's parsed flags.
 type runOpts struct {
-	dfgFile, benchName, archFile string
-	rows, cols, contexts         int
-	diagonal, hetero             bool
-	objective, engine            string
-	useSA                        bool
-	knobs                        mapper.Flags
-	autoII                       int
-	timeout                      time.Duration
-	lpOut                        string
-	quiet, showCfg, validate     bool
-	floorplan                    bool
+	dfgFile, benchName       string
+	archFile, fabric         string
+	contexts                 int
+	objective                string
+	useSA                    bool
+	knobs                    mapper.Flags
+	autoII                   int
+	timeout                  time.Duration
+	lpOut                    string
+	quiet, showCfg, validate bool
+	floorplan                bool
 }
 
 func main() {
-	o := runOpts{knobs: mapper.Flags{ArtifactCache: 16}}
+	var o runOpts
 	flag.StringVar(&o.dfgFile, "dfg", "", "application DFG file (textual format)")
 	flag.StringVar(&o.benchName, "benchmark", "", "built-in benchmark name (see 'experiments table1')")
-	flag.StringVar(&o.archFile, "arch", "", "architecture XML file (default: grid flags below)")
-	flag.IntVar(&o.rows, "rows", 4, "grid rows")
-	flag.IntVar(&o.cols, "cols", 4, "grid columns")
-	flag.IntVar(&o.contexts, "contexts", 1, "execution contexts (II)")
-	flag.BoolVar(&o.diagonal, "diagonal", false, "diagonal interconnect")
-	flag.BoolVar(&o.hetero, "heterogeneous", false, "multipliers in only half the blocks")
+	flag.StringVar(&o.archFile, "arch", "", "architecture XML file (excludes -fabric)")
+	flag.StringVar(&o.fabric, "fabric", "", "grid description RxC[:orth|diag,homo|hetero,torus,cN,memN] (default "+arch.DefaultFabric+" without -arch)")
+	flag.IntVar(&o.contexts, "contexts", 0, "execution contexts (II), overriding the architecture's own count (0 = keep it)")
 	flag.StringVar(&o.objective, "objective", "feasibility", "feasibility | routing (minimise routing resources)")
-	flag.StringVar(&o.engine, "engine", "cdcl", "ILP engine: cdcl | bb")
 	flag.BoolVar(&o.useSA, "anneal", false, "use the simulated-annealing mapper instead of ILP")
 	o.knobs.Register(flag.CommandLine, "", "")
-	o.knobs.RegisterReuse(flag.CommandLine)
-	flag.IntVar(&o.autoII, "auto-ii", 0, "search for the provably smallest initiation interval up to this bound (overrides -contexts; exact engines only)")
+	flag.IntVar(&o.autoII, "auto-ii", 0, "search for the provably smallest initiation interval up to this bound (overrides -contexts; not with -anneal)")
 	flag.DurationVar(&o.timeout, "timeout", 5*time.Minute, "solve timeout")
 	flag.StringVar(&o.lpOut, "lp", "", "write the ILP model in LP format to this file and exit")
 	flag.BoolVar(&o.quiet, "q", false, "print only the status line")
@@ -95,7 +91,7 @@ func run(o runOpts) (int, error) {
 	if err != nil {
 		return exitError, err
 	}
-	a, err := loadArch(o.archFile, o.rows, o.cols, o.contexts, o.diagonal, o.hetero)
+	a, err := arch.Load(o.archFile, o.fabric, o.contexts)
 	if err != nil {
 		return exitError, err
 	}
@@ -116,9 +112,6 @@ func run(o runOpts) (int, error) {
 		opts.Objective = mapper.MinimizeRouting
 	default:
 		return exitError, fmt.Errorf("unknown objective %q", o.objective)
-	}
-	if opts, err = service.EngineOptions(opts, o.engine, ""); err != nil {
-		return exitError, err
 	}
 	if o.useSA && o.autoII > 0 {
 		return exitError, fmt.Errorf("-auto-ii requires an exact engine (a heuristic cannot prove an II minimal)")
@@ -302,25 +295,4 @@ func loadDFG(dfgFile, benchName string) (*dfg.Graph, error) {
 	default:
 		return nil, fmt.Errorf("no application: use -dfg <file> or -benchmark <name>")
 	}
-}
-
-func loadArch(archFile string, rows, cols, contexts int, diagonal, hetero bool) (*arch.Arch, error) {
-	if archFile != "" {
-		f, err := os.Open(archFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return arch.ReadXML(f)
-	}
-	ic := arch.Orthogonal
-	if diagonal {
-		ic = arch.Diagonal
-	}
-	return arch.Grid(arch.GridSpec{
-		Rows: rows, Cols: cols,
-		Interconnect: ic,
-		Homogeneous:  !hetero,
-		Contexts:     contexts,
-	})
 }

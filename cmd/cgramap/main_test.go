@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,8 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"cgramap/internal/arch"
 	"cgramap/internal/mapper"
-	"cgramap/internal/service"
 )
 
 func TestLoadDFG(t *testing.T) {
@@ -38,14 +37,25 @@ func TestLoadDFG(t *testing.T) {
 	}
 }
 
+// TestLoadArch: with no architecture source cgramap maps onto the 4x4
+// default; an XML file and a fabric description exclude each other; and
+// -contexts overrides an XML file's own context count, so a c1 XML run
+// at -contexts 2 solves a 2-context MRRG.
 func TestLoadArch(t *testing.T) {
-	a, err := loadArch("", 2, 2, 1, false, false)
-	if err != nil || a.Name != "homo-orth-c1-2x2" {
-		t.Fatalf("grid: %v %v", a, err)
+	var code int
+	var err error
+	out := captureStdout(t, func() {
+		code, err = run(runOpts{benchName: "accum", objective: "feasibility", timeout: time.Minute, quiet: true})
+	})
+	if err != nil || code != exitOK || !strings.Contains(out, "onto homo-orth-c1-4x4 (712 MRRG nodes, 1 contexts)") {
+		t.Errorf("default fabric: exit %d, error %v\n%s", code, err, out)
 	}
-	// Round-trip through a file.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "a.xml")
+
+	a, err := arch.Load("", "4x4", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "c1.xml")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -53,18 +63,30 @@ func TestLoadArch(t *testing.T) {
 	if err := a.WriteXML(f); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-	a2, err := loadArch(path, 0, 0, 0, false, false)
-	if err != nil || a2.Name != a.Name {
-		t.Errorf("xml: %v", err)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if code, err := run(runOpts{benchName: "accum", archFile: path, fabric: "4x4",
+		objective: "feasibility", timeout: time.Minute, quiet: true}); err == nil || code != exitError {
+		t.Errorf("-arch with -fabric: exit %d, error %v; want a usage error", code, err)
+	}
+	out = captureStdout(t, func() {
+		code, err = run(runOpts{benchName: "accum", archFile: path, contexts: 2,
+			objective: "feasibility", timeout: time.Minute, quiet: true})
+	})
+	if err != nil || code != exitOK {
+		t.Fatalf("c1 XML at -contexts 2: exit %d, error %v\n%s", code, err, out)
+	}
+	if !strings.Contains(out, "onto homo-orth-c1-4x4 (1424 MRRG nodes, 2 contexts)") || !strings.Contains(out, "status: optimal") {
+		t.Errorf("c1 XML at -contexts 2 did not solve a 2-context MRRG:\n%s", out)
 	}
 }
 
 func TestRunLPExport(t *testing.T) {
 	dir := t.TempDir()
 	lp := filepath.Join(dir, "m.lp")
-	code, err := run(runOpts{benchName: "2x2-f", rows: 4, cols: 4, contexts: 1, diagonal: true,
-		objective: "feasibility", engine: "cdcl", timeout: time.Minute, lpOut: lp, quiet: true})
+	code, err := run(runOpts{benchName: "2x2-f", fabric: "4x4:diag",
+		objective: "feasibility", timeout: time.Minute, lpOut: lp, quiet: true})
 	if err != nil || code != exitOK {
 		t.Fatal(code, err)
 	}
@@ -87,8 +109,8 @@ func TestRunLPExportWriteFailure(t *testing.T) {
 	var code int
 	var runErr error
 	out := captureStdout(t, func() {
-		code, runErr = run(runOpts{benchName: "2x2-f", rows: 4, cols: 4, contexts: 1, diagonal: true,
-			objective: "feasibility", engine: "cdcl", timeout: time.Minute, lpOut: "/dev/full", quiet: true})
+		code, runErr = run(runOpts{benchName: "2x2-f", fabric: "4x4:diag",
+			objective: "feasibility", timeout: time.Minute, lpOut: "/dev/full", quiet: true})
 	})
 	if code != exitError || runErr == nil {
 		t.Errorf("exit %d, error %v; want exit %d with an error", code, runErr, exitError)
@@ -99,23 +121,19 @@ func TestRunLPExportWriteFailure(t *testing.T) {
 }
 
 func TestRunSolveSmall(t *testing.T) {
-	code, err := run(runOpts{benchName: "2x2-f", rows: 4, cols: 4, contexts: 2, diagonal: true,
-		objective: "feasibility", engine: "cdcl", timeout: 2 * time.Minute,
+	code, err := run(runOpts{benchName: "2x2-f", fabric: "4x4:diag,c2",
+		objective: "feasibility", timeout: 2 * time.Minute,
 		quiet: true, showCfg: true, validate: true, floorplan: true})
 	if err != nil || code != exitOK {
 		t.Fatal(code, err)
 	}
 	// Bad flag values.
-	if code, err := run(runOpts{benchName: "2x2-f", rows: 4, cols: 4, contexts: 1,
-		objective: "zorp", engine: "cdcl", timeout: time.Minute, quiet: true}); err == nil || code != exitError {
+	if code, err := run(runOpts{benchName: "2x2-f", fabric: "4x4",
+		objective: "zorp", timeout: time.Minute, quiet: true}); err == nil || code != exitError {
 		t.Error("bad objective accepted")
 	}
-	if code, err := run(runOpts{benchName: "2x2-f", rows: 4, cols: 4, contexts: 1,
-		objective: "feasibility", engine: "zorp", timeout: time.Minute, quiet: true}); err == nil || code != exitError {
-		t.Error("bad engine accepted")
-	}
-	if code, err := run(runOpts{benchName: "2x2-f", rows: 4, cols: 4, contexts: 1, knobs: mapper.Flags{Workers: -1},
-		objective: "feasibility", engine: "cdcl", timeout: time.Minute, quiet: true}); err == nil || code != exitError {
+	if code, err := run(runOpts{benchName: "2x2-f", fabric: "4x4", knobs: mapper.Flags{Workers: -1},
+		objective: "feasibility", timeout: time.Minute, quiet: true}); err == nil || code != exitError {
 		t.Error("negative -workers accepted")
 	}
 }
@@ -124,8 +142,8 @@ func TestRunSolveSmall(t *testing.T) {
 // -anneal with -auto-ii is a usage error, not an annealing run at the
 // -contexts count.
 func TestRunAnnealRejectsAutoII(t *testing.T) {
-	code, err := run(runOpts{benchName: "2x2-f", rows: 2, cols: 2, contexts: 2, diagonal: true, useSA: true, autoII: 4,
-		objective: "feasibility", engine: "cdcl", timeout: time.Minute, quiet: true})
+	code, err := run(runOpts{benchName: "2x2-f", fabric: "2x2:diag,c2", useSA: true, autoII: 4,
+		objective: "feasibility", timeout: time.Minute, quiet: true})
 	if err == nil || code != exitError || !strings.Contains(err.Error(), "-auto-ii requires an exact engine") {
 		t.Errorf("-anneal -auto-ii: code %d, err %v; want exit %d with the exact-engine error", code, err, exitError)
 	}
@@ -140,8 +158,8 @@ func TestRunAnnealValidates(t *testing.T) {
 	}
 	stdout := os.Stdout
 	os.Stdout = w
-	code, runErr := run(runOpts{benchName: "2x2-f", rows: 2, cols: 2, contexts: 2, diagonal: true, useSA: true,
-		knobs: mapper.Flags{Seed: 5}, objective: "feasibility", engine: "cdcl", timeout: time.Minute,
+	code, runErr := run(runOpts{benchName: "2x2-f", fabric: "2x2:diag,c2", useSA: true,
+		knobs: mapper.Flags{Seed: 5}, objective: "feasibility", timeout: time.Minute,
 		quiet: true, validate: true})
 	os.Stdout = stdout
 	w.Close()
@@ -154,16 +172,6 @@ func TestRunAnnealValidates(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "validated:") {
 		t.Errorf("-anneal -validate did not validate:\n%s", out)
-	}
-}
-
-// TestRunPortfolioRemoved: the removed portfolio engine is a usage error
-// whose message names the replacements.
-func TestRunPortfolioRemoved(t *testing.T) {
-	code, err := run(runOpts{benchName: "2x2-f", rows: 2, cols: 2, contexts: 2, diagonal: true,
-		objective: "feasibility", engine: "portfolio", timeout: time.Minute, quiet: true})
-	if code != exitError || !errors.Is(err, service.ErrPortfolioRemoved) {
-		t.Errorf("-engine portfolio: code %d, err %v; want exit %d with %v", code, err, exitError, service.ErrPortfolioRemoved)
 	}
 }
 
@@ -185,8 +193,8 @@ func TestRunExitInfeasible(t *testing.T) {
 	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, err := run(runOpts{dfgFile: path, rows: 2, cols: 2, contexts: 1, diagonal: true,
-		objective: "feasibility", engine: "cdcl", timeout: time.Minute, quiet: true})
+	code, err := run(runOpts{dfgFile: path, fabric: "2x2:diag",
+		objective: "feasibility", timeout: time.Minute, quiet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,17 +216,17 @@ func TestRunExitUnknown(t *testing.T) {
 		explain string // the line after the status; "" = none
 	}{
 		{"cancelled-before-search",
-			runOpts{benchName: "mac", rows: 4, cols: 4, contexts: 2, diagonal: true, timeout: time.Nanosecond},
+			runOpts{benchName: "mac", fabric: "4x4:diag,c2", timeout: time.Nanosecond},
 			`^  model: [1-9]\d* vars, [1-9]\d* constraints$`},
 		{"mid-search",
-			runOpts{benchName: "mult_16", rows: 4, cols: 4, contexts: 1, knobs: mapper.Flags{Workers: 1}, timeout: time.Second},
+			runOpts{benchName: "mult_16", fabric: "4x4", knobs: mapper.Flags{Workers: 1}, timeout: time.Second},
 			`^  model: [1-9]\d* vars, [1-9]\d* constraints; search: \d+ conflicts, \d+ propagations, \d+ restarts$`},
 		{"auto-ii-cancelled",
-			runOpts{benchName: "mac", rows: 4, cols: 4, contexts: 2, diagonal: true, autoII: 4, timeout: time.Nanosecond},
+			runOpts{benchName: "mac", fabric: "4x4:diag,c2", autoII: 4, timeout: time.Nanosecond},
 			""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.o.objective, tc.o.engine, tc.o.quiet = "feasibility", "cdcl", true
+			tc.o.objective, tc.o.quiet = "feasibility", true
 			var code int
 			var err error
 			out := captureStdout(t, func() { code, err = run(tc.o) })

@@ -15,6 +15,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,7 +32,8 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	// -h has printed the usage already; it is not a failure.
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "frontier:", err)
 		os.Exit(1)
 	}
@@ -58,7 +60,7 @@ func run(args []string, stdout io.Writer) error {
 // pure function of the flags, so regenerating a committed corpus is a
 // no-op diff.
 func runGenerate(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("generate", flag.ExitOnError)
+	fs := flag.NewFlagSet("generate", flag.ContinueOnError)
 	family := fs.String("family", "gen", "kernel family: dot | fir | stencil | reduce | conv2d | matvec | gen")
 	min := fs.Int("min", 1, "smallest ladder rung")
 	max := fs.Int("max", 8, "largest ladder rung")
@@ -116,7 +118,7 @@ func runGenerate(args []string, stdout io.Writer) error {
 
 // runFrontier executes the sweep and writes the requested reports.
 func runFrontier(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	family := fs.String("family", "dot", "kernel family: dot | fir | stencil | reduce | conv2d | matvec | gen")
 	min := fs.Int("min", 1, "smallest ladder rung probed")
 	max := fs.Int("max", 16, "largest ladder rung probed")
@@ -124,7 +126,6 @@ func runFrontier(args []string, stdout io.Writer) error {
 	fabrics := fs.String("fabrics", "", "fabric list, e.g. \"8x8:diag;8x8:diag,hetero\" (default: the standard ladder)")
 	iis := fs.String("iis", "", "comma-separated IIs per fabric (default: each fabric's own context count)")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-probe budget; a timeout counts as unmappable")
-	engine := fs.String("engine", "cdcl", "solver per probe: cdcl | bb")
 	daemon := fs.String("daemon", "", "solve via a cgramapd server at this URL instead of in-process")
 	knobs := mapper.Flags{Workers: 1, ArtifactCache: 32}
 	knobs.Register(fs, "", "solver-seed")
@@ -162,7 +163,7 @@ func runFrontier(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if mOpts, err = service.EngineOptions(mOpts, *engine, *daemon); err != nil {
+	if mOpts, err = service.DaemonOptions(mOpts, *daemon); err != nil {
 		return err
 	}
 	opts := workload.FrontierOptions{Timeout: *timeout, Mapper: mOpts}
@@ -206,7 +207,7 @@ func runFrontier(args []string, stdout io.Writer) error {
 
 // runReport re-renders a saved JSON frontier as markdown.
 func runReport(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("report", flag.ExitOnError)
+	fs := flag.NewFlagSet("report", flag.ContinueOnError)
 	in := fs.String("in", "-", "frontier JSON to render (\"-\" = stdin)")
 	if err := fs.Parse(args); err != nil {
 		return err

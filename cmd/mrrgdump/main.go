@@ -2,10 +2,13 @@
 // statistics, node listing, or Graphviz DOT rendering — handy for
 // inspecting how primitives expand (the paper's Figs. 1–4).
 //
-// -contexts accepts a comma-separated II list (e.g. -contexts 1,2,4,2):
-// every II is dumped in order, and generation routes through the MRRG
-// store of mapper.ArtifactCache, so a repeated II is served from memory.
-// -stats prints that store's hit/miss counters afterwards.
+// The architecture comes from -arch (XML description) or -fabric (a grid
+// description such as 8x8:diag,hetero,c2; default 4x4). -contexts
+// accepts a comma-separated II list (e.g. -contexts 1,2,4,2), each entry
+// overriding the architecture's own context count (0 keeps it): every
+// II is dumped in order, and generation routes through the MRRG store of
+// mapper.ArtifactCache, so a repeated II is served from memory. -stats
+// prints that store's hit/miss counters afterwards.
 package main
 
 import (
@@ -22,30 +25,27 @@ import (
 
 func main() {
 	var (
-		archFile = flag.String("arch", "", "architecture XML file (default: grid flags)")
-		rows     = flag.Int("rows", 4, "grid rows")
-		cols     = flag.Int("cols", 4, "grid columns")
-		contexts = flag.String("contexts", "1", "execution contexts: a single II or a comma-separated list (repeats hit the MRRG cache)")
-		diagonal = flag.Bool("diagonal", false, "diagonal interconnect")
-		hetero   = flag.Bool("heterogeneous", false, "multipliers in only half the blocks")
+		archFile = flag.String("arch", "", "architecture XML file (excludes -fabric)")
+		fabric   = flag.String("fabric", "", "grid description RxC[:orth|diag,homo|hetero,torus,cN,memN] (default "+arch.DefaultFabric+" without -arch)")
+		contexts = flag.String("contexts", "0", "execution contexts: a single II or a comma-separated list (repeats hit the MRRG cache); 0 = the architecture's own count")
 		dot      = flag.Bool("dot", false, "emit Graphviz DOT instead of statistics")
 		nodes    = flag.Bool("nodes", false, "list every node")
 		stats    = flag.Bool("stats", false, "print MRRG cache hit/miss counts after dumping")
 		syms     = flag.Bool("symmetries", false, "print the fabric's verified automorphism generators and primitive orbits")
 	)
 	flag.Parse()
-	if err := run(*archFile, *rows, *cols, *contexts, *diagonal, *hetero, *dot, *nodes, *stats, *syms); err != nil {
+	if err := run(*archFile, *fabric, *contexts, *dot, *nodes, *stats, *syms); err != nil {
 		fmt.Fprintln(os.Stderr, "mrrgdump:", err)
 		os.Exit(1)
 	}
 }
 
-func run(archFile string, rows, cols int, contexts string, diagonal, hetero, dot, nodes, stats, syms bool) error {
+func run(archFile, fabric, contexts string, dot, nodes, stats, syms bool) error {
 	iis, err := parseContexts(contexts)
 	if err != nil {
 		return err
 	}
-	base, err := loadArch(archFile, rows, cols, diagonal, hetero)
+	base, err := arch.Load(archFile, fabric, 0)
 	if err != nil {
 		return err
 	}
@@ -55,7 +55,9 @@ func run(archFile string, rows, cols int, contexts string, diagonal, hetero, dot
 	cache := mapper.NewArtifactCache(len(iis))
 	for _, ii := range iis {
 		a := *base
-		a.Contexts = ii
+		if ii > 0 {
+			a.Contexts = ii
+		}
 		g, err := cache.MRRG(&a)
 		if err != nil {
 			return err
@@ -127,33 +129,10 @@ func parseContexts(s string) ([]int, error) {
 	var iis []int
 	for _, tok := range strings.Split(s, ",") {
 		ii, err := strconv.Atoi(strings.TrimSpace(tok))
-		if err != nil || ii < 1 {
+		if err != nil || ii < 0 {
 			return nil, fmt.Errorf("bad context count %q", tok)
 		}
 		iis = append(iis, ii)
 	}
 	return iis, nil
-}
-
-// loadArch reads the architecture XML or builds the requested grid (at a
-// context count of 1; each dump overrides Contexts per II).
-func loadArch(archFile string, rows, cols int, diagonal, hetero bool) (*arch.Arch, error) {
-	if archFile != "" {
-		f, err := os.Open(archFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return arch.ReadXML(f)
-	}
-	ic := arch.Orthogonal
-	if diagonal {
-		ic = arch.Diagonal
-	}
-	return arch.Grid(arch.GridSpec{
-		Rows: rows, Cols: cols,
-		Interconnect: ic,
-		Homogeneous:  !hetero,
-		Contexts:     1,
-	})
 }

@@ -71,8 +71,8 @@ func (c *ArtifactCache) MRRG(a *arch.Arch) (*mrrg.Graph, error) {
 // the entry. The formulation options that shape the template (objective
 // mode, pruning, presolve, symmetry) are part of the key; solver-side
 // options (workers, seed) are not — they never reach the
-// formulation. Symmetry must be resolved (never SymmetryAuto) by the
-// time a template is requested, so the key is well-defined.
+// formulation. Symmetry enters as on or not: SymmetryAuto and
+// SymmetryOff build the same template.
 //
 // The DFG fingerprint ignores names, but a template's stamps carry them
 // (the model name and every F/R variable name come from the template's

@@ -58,8 +58,7 @@ type Options struct {
 	// Symmetry controls symmetry-breaking constraints: verified fabric
 	// automorphisms (arch.Discover) become lex-leader and orbit-fixing
 	// constraints, and interchangeable commutative operands are ordered
-	// (symmetry.go). The default SymmetryAuto resolves to on for
-	// MapAuto sweeps and off for direct Map/BuildModel calls. Symmetry
+	// (symmetry.go); see SymmetryAuto for the default. Symmetry
 	// breaking removes symmetric duplicates from the search space but
 	// never an entire solution orbit.
 	Symmetry SymmetryMode
@@ -125,9 +124,6 @@ func (r *Result) Feasible() bool {
 // solving it. It returns the model (nil when construction already proved
 // infeasibility, together with the reason).
 func BuildModel(g *dfg.Graph, mg *mrrg.Graph, opts Options) (*ilp.Model, string, error) {
-	if opts.Symmetry == SymmetryAuto {
-		opts.Symmetry = SymmetryOff
-	}
 	t, err := templateFor(g, mg.Arch, opts)
 	if err != nil {
 		return nil, "", err
@@ -142,12 +138,6 @@ func Map(ctx context.Context, g *dfg.Graph, mg *mrrg.Graph, opts Options) (*Resu
 	if fn := opts.MapWith; fn != nil {
 		opts.MapWith = nil
 		return fn(ctx, g, mg, opts)
-	}
-	if opts.Symmetry == SymmetryAuto {
-		// A single fixed-II solve is as likely to be an easy SAT
-		// instance (where lex chains are pure overhead) as a hard
-		// proof; only explicit opt-in pays for them here.
-		opts.Symmetry = SymmetryOff
 	}
 	solver := opts.engine()
 	start := time.Now()

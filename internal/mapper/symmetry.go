@@ -14,11 +14,12 @@ import (
 type SymmetryMode int
 
 const (
-	// SymmetryAuto (the zero value) enables symmetry breaking where it
-	// pays: MapAuto sweeps — which spend most of their time *proving*
-	// rungs infeasible, exactly where pruning symmetric subtrees wins —
-	// turn it on; direct Map/BuildModel calls leave it off. Callers
-	// that know better say so explicitly.
+	// SymmetryAuto (the zero value) is on only inside MapAuto, whose
+	// ladders spend most of their time *proving* rungs infeasible,
+	// exactly where pruning symmetric subtrees wins. Everywhere else —
+	// a fixed-II Map, BuildModel, a template — only SymmetryOn emits
+	// the constraints, so auto reads as off there: a single solve is as
+	// likely an easy SAT instance, where lex chains are pure overhead.
 	SymmetryAuto SymmetryMode = iota
 	// SymmetryOn always emits the constraints.
 	SymmetryOn
@@ -96,7 +97,7 @@ func findValueSwaps(g *dfg.Graph, anchor int) [][2]int {
 
 // initSymmetry performs the II-independent symmetry analysis for a
 // template: fabric automorphism discovery plus DFG value-swap
-// detection. Called from NewTemplate only when the resolved mode is on.
+// detection. Called from NewTemplate only when the mode is SymmetryOn.
 func (t *Template) initSymmetry(a *arch.Arch) {
 	t.symmetry = true
 	if t.g.NumOps() == 0 {

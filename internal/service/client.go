@@ -332,10 +332,11 @@ func (c *Client) Solve(ctx context.Context, req *JobRequest) (*JobResult, error)
 
 // MapFunc adapts the client to the mapper.MapFunc seam, so local
 // orchestrators (cmd/experiments sweeps, MapAuto) can transparently
-// offload every solve to a cgramapd server. The remote mapping comes
+// offload every solve to a cgramapd server's exact engine (the job names
+// none, so the server's default, cdcl, runs it). The remote mapping comes
 // back in portable form and is re-verified locally by FromPortable —
 // the daemon is never trusted.
-func (c *Client) MapFunc(engine string) mapper.MapFunc {
+func (c *Client) MapFunc() mapper.MapFunc {
 	return func(ctx context.Context, g *dfg.Graph, mg *mrrg.Graph, opts mapper.Options) (*mapper.Result, error) {
 		var archXML strings.Builder
 		if err := mg.Arch.WriteXML(&archXML); err != nil {
@@ -355,7 +356,6 @@ func (c *Client) MapFunc(engine string) mapper.MapFunc {
 			DFG:        g.FormatString(),
 			ArchXML:    archXML.String(),
 			Contexts:   mg.Contexts,
-			Engine:     engine,
 			Objective:  objective,
 			DeadlineMS: deadlineMS,
 			// Forward the local symmetry preference: an explicit on/off

@@ -5,7 +5,7 @@
 //
 // A submission names a DFG, an architecture, and a mapper configuration.
 // Jobs flow through a bounded queue into a fixed worker pool that drives
-// the existing engines (cdcl, bb, or the annealer) with a per-job
+// the exact CDCL engine or the annealer with a per-job
 // context and deadline. In front of the workers sits a
 // content-addressed result cache: the canonical fingerprint of
 // (DFG structure, architecture structure, engine options) — stable under
@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -41,32 +40,18 @@ import (
 	"cgramap/internal/lru"
 	"cgramap/internal/mapper"
 	"cgramap/internal/mrrg"
-	"cgramap/internal/solve/bb"
 )
 
 // Engine names accepted by job submissions.
 const (
 	EngineCDCL   = "cdcl"
-	EngineBB     = "bb"
 	EngineAnneal = "anneal"
 )
 
-// ErrPortfolioRemoved answers every request for the deleted "portfolio"
-// engine, from the job server and from the CLIs alike.
-var ErrPortfolioRemoved = errors.New(`engine "portfolio" has been removed: use "cdcl" ` +
-	`(a clause-sharing gang with -workers, or cgramapd -solve-workers) ` +
-	`or "anneal" for a heuristic witness`)
-
-// checkEngine accepts engine if it is one of allowed.
-func checkEngine(engine string, allowed ...string) error {
-	switch {
-	case slices.Contains(allowed, engine):
-		return nil
-	case engine == "portfolio":
-		return ErrPortfolioRemoved
-	}
-	return fmt.Errorf("unknown engine %q", engine)
-}
+// ErrEngineRemoved marks a job naming an engine the service no longer
+// runs (400): "bb", the LP branch and bound that is now a test oracle
+// only, or "portfolio".
+var ErrEngineRemoved = errors.New("engine removed")
 
 // JobState is a job's lifecycle state.
 type JobState string
@@ -104,7 +89,7 @@ type JobRequest struct {
 	// interval up to this bound (mapper.MapAuto) instead of solving at
 	// a fixed context count.
 	AutoII int `json:"auto_ii,omitempty"`
-	// Engine selects cdcl (default), bb, or anneal.
+	// Engine selects cdcl (default) or anneal.
 	Engine string `json:"engine,omitempty"`
 	// Symmetry controls symmetry-breaking constraints: "auto" (default:
 	// on for auto-II ladders, off at a fixed context count), "on" or
@@ -520,11 +505,18 @@ func (s *Server) ParseRequest(req *JobRequest) (*JobSpec, error) {
 	if engine == "" {
 		engine = EngineCDCL
 	}
-	if err := checkEngine(engine, EngineCDCL, EngineBB, EngineAnneal); err != nil {
-		return nil, errf(400, "%v", err)
-	}
-	if engine == EngineAnneal && req.AutoII > 0 {
-		return nil, errf(400, "auto_ii requires an exact engine (a heuristic cannot prove an II minimal)")
+	switch engine {
+	case EngineCDCL:
+	case EngineAnneal:
+		if req.AutoII > 0 {
+			return nil, errf(400, "auto_ii requires an exact engine (a heuristic cannot prove an II minimal)")
+		}
+	case "bb", "portfolio":
+		return nil, &Error{Code: 400, Err: ErrEngineRemoved, Message: fmt.Sprintf(
+			`engine %q has been removed: use "cdcl" (a clause-sharing gang with cgramapd -solve-workers) `+
+				`or "anneal" for a heuristic witness`, engine)}
+	default:
+		return nil, errf(400, "unknown engine %q", engine)
 	}
 
 	objective := mapper.Feasibility
@@ -990,39 +982,16 @@ func snapshot(j *job) *JobStatus {
 // engine it names, honouring ctx for cancellation and deadline. It is
 // the default Options.Solve.
 func RunSpec(ctx context.Context, spec *JobSpec) (*JobResult, error) {
-	out := &JobResult{Engine: spec.Engine}
-
-	if spec.Engine == EngineAnneal {
-		mg, err := specMRRG(spec)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		res, err := anneal.Map(ctx, spec.DFG, mg, anneal.Options{Seed: spec.Mapper.Seed})
-		if err != nil {
-			return nil, err
-		}
-		out.Status = res.Status
-		out.Feasible = res.Feasible
-		out.SolveMS = ms(time.Since(start))
-		if res.Feasible {
-			out.Reason = "heuristic (simulated annealing) witness; no optimality or infeasibility proof"
-			out.Mapping = res.Mapping.Portable()
-		}
-		return out, nil
-	}
-
-	mo := spec.Mapper
 	switch spec.Engine {
 	case EngineCDCL:
-	case EngineBB:
-		mo.Solver = bb.New()
+	case EngineAnneal:
+		return runAnneal(ctx, spec)
 	default:
 		return nil, fmt.Errorf("service: unknown engine %q", spec.Engine)
 	}
-
+	out := &JobResult{Engine: spec.Engine}
 	if spec.AutoII > 0 {
-		auto, err := mapper.MapAuto(ctx, spec.DFG, spec.Arch, spec.AutoII, mo)
+		auto, err := mapper.MapAuto(ctx, spec.DFG, spec.Arch, spec.AutoII, spec.Mapper)
 		if err != nil {
 			return nil, err
 		}
@@ -1036,7 +1005,7 @@ func RunSpec(ctx context.Context, spec *JobSpec) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := mapper.Map(ctx, spec.DFG, mg, mo)
+	res, err := mapper.Map(ctx, spec.DFG, mg, spec.Mapper)
 	if err != nil {
 		return nil, err
 	}
@@ -1045,10 +1014,21 @@ func RunSpec(ctx context.Context, spec *JobSpec) (*JobResult, error) {
 	return out, nil
 }
 
-// RunSpecDegraded is the degraded lane's default dispatch: one short
-// simulated-annealing run, labelled as a heuristic witness. It is the
-// default Options.SolveDegraded.
+// RunSpecDegraded is the degraded lane's default dispatch: the annealing
+// solve of RunSpec, labelled degraded. It is the default
+// Options.SolveDegraded.
 func RunSpecDegraded(ctx context.Context, spec *JobSpec) (*JobResult, error) {
+	out, err := runAnneal(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	out.Degraded, out.Reason = true, DegradedReason
+	return out, nil
+}
+
+// runAnneal solves a spec with one simulated-annealing run: a verified
+// heuristic witness when it finds one, never a proof.
+func runAnneal(ctx context.Context, spec *JobSpec) (*JobResult, error) {
 	mg, err := specMRRG(spec)
 	if err != nil {
 		return nil, err
@@ -1058,41 +1038,29 @@ func RunSpecDegraded(ctx context.Context, spec *JobSpec) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &JobResult{
-		Engine:   EngineAnneal,
-		Degraded: true,
-		Status:   res.Status,
-		Feasible: res.Feasible,
-		Reason:   DegradedReason,
-		SolveMS:  ms(time.Since(start)),
-	}
+	out := &JobResult{Engine: EngineAnneal, Status: res.Status, Feasible: res.Feasible, SolveMS: ms(time.Since(start))}
 	if res.Feasible {
+		out.Reason = "heuristic (simulated annealing) witness; no optimality or infeasibility proof"
 		out.Mapping = res.Mapping.Portable()
 	}
 	return out, nil
 }
 
-// EngineOptions routes opts through the named exact engine (cdcl or bb)
-// the way the CLIs select it. With a daemon URL every solve goes to that
-// cgramapd server instead, under the same engine name, after failing
-// fast if the server is not healthy within 10 s; the server then solves
-// with its own knobs.
-func EngineOptions(opts mapper.Options, engine, daemon string) (mapper.Options, error) {
-	if err := checkEngine(engine, EngineCDCL, EngineBB); err != nil {
+// DaemonOptions routes every solve of opts to the cgramapd server at
+// daemon, after failing fast if the server is not healthy within 10 s;
+// the server then solves with its own knobs. An empty daemon leaves
+// opts as they are.
+func DaemonOptions(opts mapper.Options, daemon string) (mapper.Options, error) {
+	if daemon == "" {
+		return opts, nil
+	}
+	client := NewClient(daemon)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := client.WaitHealthy(ctx); err != nil {
 		return opts, err
 	}
-	switch {
-	case daemon != "":
-		client := NewClient(daemon)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := client.WaitHealthy(ctx); err != nil {
-			return opts, err
-		}
-		opts.MapWith = client.MapFunc(engine)
-	case engine == EngineBB:
-		opts.Solver = bb.New()
-	}
+	opts.MapWith = client.MapFunc()
 	return opts, nil
 }
 

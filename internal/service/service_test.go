@@ -549,7 +549,7 @@ func TestFingerprintSemantics(t *testing.T) {
 	if fp(func(r *JobRequest) { r.DeadlineMS = 12345 }) != ref {
 		t.Error("deadline leaked into the job fingerprint")
 	}
-	if fp(func(r *JobRequest) { r.Engine = EngineBB }) == ref {
+	if fp(func(r *JobRequest) { r.Engine = EngineAnneal }) == ref {
 		t.Error("engine not part of the job fingerprint")
 	}
 	if fp(func(r *JobRequest) { r.Objective = "routing" }) == ref {
@@ -831,35 +831,44 @@ func TestResultCacheDisabled(t *testing.T) {
 	wantMetric(t, metricsText(t, s), "cgramapd_cache_entries", 0)
 }
 
-// TestPortfolioEngineRejected: a job naming the removed portfolio engine
-// gets a 400 over HTTP whose message names the replacements.
+// TestPortfolioEngineRejected: a job naming a removed engine (the
+// portfolio, or the LP branch and bound) gets a 400 over HTTP whose
+// message names the engine and its replacements, and Submit reports the
+// ErrEngineRemoved sentinel.
 func TestPortfolioEngineRejected(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	req := gridReq(2)
-	req.Engine = "portfolio"
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var msg struct{ Error string }
-	if err := json.NewDecoder(resp.Body).Decode(&msg); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadRequest || msg.Error != ErrPortfolioRemoved.Error() {
-		t.Errorf("portfolio job: %d %q, want 400 %q", resp.StatusCode, msg.Error, ErrPortfolioRemoved)
-	}
-	for _, want := range []string{`"cdcl"`, "-solve-workers", `"anneal"`} {
-		if !strings.Contains(msg.Error, want) {
-			t.Errorf("message %q does not name %s", msg.Error, want)
+	for _, engine := range []string{"bb", "portfolio"} {
+		req := gridReq(2)
+		req.Engine = engine
+		var serr *Error
+		if _, err := s.Submit(req); !errors.Is(err, ErrEngineRemoved) || !errors.As(err, &serr) || serr.Code != http.StatusBadRequest {
+			t.Errorf("%s job: Submit error %v, want a 400 wrapping ErrEngineRemoved", engine, err)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&msg)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s job: HTTP %d, want 400", engine, resp.StatusCode)
+		}
+		for _, want := range []string{`"` + engine + `"`, `"cdcl"`, "-solve-workers", `"anneal"`} {
+			if !strings.Contains(msg.Error, want) {
+				t.Errorf("%s job: message %q does not name %s", engine, msg.Error, want)
+			}
 		}
 	}
 }
@@ -983,7 +992,7 @@ func solveViaMapFunc(ctx context.Context, c *Client, g *dfg.Graph, a *arch.Arch)
 	if err != nil {
 		return nil, err
 	}
-	return mapper.Map(ctx, g, mg, mapper.Options{MapWith: c.MapFunc(EngineCDCL)})
+	return mapper.Map(ctx, g, mg, mapper.Options{MapWith: c.MapFunc()})
 }
 
 func metricsText(t *testing.T, s *Server) string {
@@ -1009,27 +1018,19 @@ func wantMetric(t *testing.T, text, name string, want int) {
 	}
 }
 
-// TestEngineOptions: engine names route the sweep tools' mapper options
-// to the right solver, locally or through a daemon.
-func TestEngineOptions(t *testing.T) {
+// TestDaemonOptions: the sweep tools' daemon hookup leaves options
+// alone without a URL and routes every solve through a healthy daemon
+// with one.
+func TestDaemonOptions(t *testing.T) {
 	base := mapper.Options{Seed: 3}
-	if _, err := EngineOptions(base, "zorp", ""); err == nil {
-		t.Error("unknown engine accepted")
-	}
-	if _, err := EngineOptions(base, "portfolio", ""); !errors.Is(err, ErrPortfolioRemoved) {
-		t.Errorf("portfolio: %v, want ErrPortfolioRemoved", err)
-	}
-	if o, err := EngineOptions(base, EngineCDCL, ""); err != nil || o.Solver != nil || o.MapWith != nil || o.Seed != 3 {
-		t.Errorf("cdcl: %+v, %v", o, err)
-	}
-	if o, err := EngineOptions(base, EngineBB, ""); err != nil || o.Solver == nil {
-		t.Errorf("bb: %+v, %v", o, err)
+	if o, err := DaemonOptions(base, ""); err != nil || o.Solver != nil || o.MapWith != nil || o.Seed != 3 {
+		t.Errorf("local: %+v, %v", o, err)
 	}
 	s := New(Options{Workers: 1})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	if o, err := EngineOptions(base, EngineBB, ts.URL); err != nil || o.MapWith == nil || o.Solver != nil {
+	if o, err := DaemonOptions(base, ts.URL); err != nil || o.MapWith == nil || o.Solver != nil {
 		t.Errorf("daemon: %+v, %v", o, err)
 	}
 }

@@ -8,39 +8,6 @@ import (
 	"cgramap/internal/mrrg"
 )
 
-func TestParseFabric(t *testing.T) {
-	cases := []struct {
-		desc string
-		want arch.GridSpec
-	}{
-		{"4x4", arch.GridSpec{Rows: 4, Cols: 4, Homogeneous: true, Contexts: 1}},
-		{"8x8:diag", arch.GridSpec{Rows: 8, Cols: 8, Interconnect: arch.Diagonal, Homogeneous: true, Contexts: 1}},
-		{"8x8:diag,hetero,c2", arch.GridSpec{Rows: 8, Cols: 8, Interconnect: arch.Diagonal, Contexts: 2}},
-		{"16x16:torus,mem4", arch.GridSpec{Rows: 16, Cols: 16, Homogeneous: true, Contexts: 1, Torus: true, MemPortEvery: 4}},
-		{"2x6:orth,homo,c3,mem2", arch.GridSpec{Rows: 2, Cols: 6, Interconnect: arch.Orthogonal, Homogeneous: true, Contexts: 3, MemPortEvery: 2}},
-	}
-	for _, tc := range cases {
-		got, err := ParseFabric(tc.desc)
-		if err != nil {
-			t.Fatalf("%q: %v", tc.desc, err)
-		}
-		if got != tc.want {
-			t.Errorf("%q: %+v, want %+v", tc.desc, got, tc.want)
-		}
-	}
-}
-
-func TestParseFabricErrors(t *testing.T) {
-	for _, desc := range []string{
-		"", "8", "8x", "x8", "0x4", "4x0", "axb",
-		"4x4:bogus", "4x4:c0", "4x4:cx", "4x4:mem0", "4x4:memx",
-	} {
-		if _, err := ParseFabric(desc); err == nil {
-			t.Errorf("%q: expected an error", desc)
-		}
-	}
-}
-
 func TestParseFabrics(t *testing.T) {
 	specs, err := ParseFabrics("4x4:diag;8x8:diag,hetero 16x16")
 	if err != nil {
