@@ -38,9 +38,14 @@ type Engine struct {
 
 	// Test seams: noProbe turns off root-level failed-literal probing
 	// (see probe); shareMaxLen overrides the default length cap (8) on
-	// exported clauses.
+	// exported clauses; conflictCap, when positive, stops each lane's
+	// search after that many conflicts as a cancellation would;
+	// maxLearnts, when positive, overrides the learnt-clause limit above
+	// which restarts reduce the clause database.
 	noProbe     bool
 	shareMaxLen int
+	conflictCap int64
+	maxLearnts  int
 }
 
 // New returns a ready Engine.

@@ -72,6 +72,10 @@ func (e *Engine) load(m *ilp.Model, objLits []lit, k int) (*gang, error) {
 	}
 	for i, s := range g.workers {
 		s.applySeed(mixSeed(e.Seed, i))
+		s.conflictCap = e.conflictCap
+		if e.maxLearnts > 0 {
+			s.maxLearnts = e.maxLearnts
+		}
 	}
 	if k == 1 {
 		return g, nil
