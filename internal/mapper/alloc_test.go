@@ -68,10 +68,10 @@ func TestAllocationBounds(t *testing.T) {
 		{"formulate/accum", build("accum", Options{}), 3278},
 		{"formulate/extreme", build("extreme", Options{}), 3643},
 		{"formulate/template", build("accum", Options{Artifacts: NewArtifactCache(4)}), 482},
-		{"mapauto/scratch", ladder("mult_10", hetero, Options{Symmetry: SymmetryOff}), 27958},
-		{"mapauto/sym", ladder("mac", homo3, Options{Symmetry: SymmetryOn}), 58472},
-		{"mapauto/nosym", ladder("mac", homo3, Options{Symmetry: SymmetryOff}), 66828},
-		{"mapauto/cached", ladder("mult_10", hetero, Options{Symmetry: SymmetryOff, Artifacts: NewArtifactCache(8)}), 21317},
+		{"mapauto/scratch", ladder("mult_10", hetero, Options{Symmetry: SymmetryOff}), 25983},
+		{"mapauto/sym", ladder("mac", homo3, Options{Symmetry: SymmetryOn}), 37071},
+		{"mapauto/nosym", ladder("mac", homo3, Options{Symmetry: SymmetryOff}), 33497},
+		{"mapauto/cached", ladder("mult_10", hetero, Options{Symmetry: SymmetryOff, Artifacts: NewArtifactCache(8)}), 19343},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := testing.AllocsPerRun(1, func() { tc.run(t) })

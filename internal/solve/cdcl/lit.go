@@ -10,10 +10,13 @@
 // — optimality, the three properties the paper obtains from Gurobi (see
 // DESIGN.md, substitutions).
 //
-// Implementation: two-watched-literal clause propagation, counter-based
-// cardinality propagation, first-UIP conflict analysis, VSIDS variable
-// activities, phase saving (default phase false: mapping solutions are
-// sparse), Luby restarts, and activity-based learnt-clause reduction.
+// Implementation: two-watched-literal clause propagation with blocker
+// literals (a binary clause is decided from its watch entry alone) over a
+// pointer-free clause arena, counter-based cardinality propagation
+// (skipped on one flag for the literals in no card), first-UIP conflict
+// analysis, VSIDS variable activities, phase saving (default phase
+// false: mapping solutions are sparse), Luby restarts, and
+// activity-based learnt-clause reduction with arena compaction.
 package cdcl
 
 // lit is a literal: variable index shifted left once, low bit set when

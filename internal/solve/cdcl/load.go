@@ -112,12 +112,6 @@ func compile(m *ilp.Model, seed int64) (*solver, error) {
 	return s, nil
 }
 
-// loaded is one constraint half as load installs it: lits at
-// arena[off:off+n], a clause when k < 0, else an at-most-k card.
-type loaded struct {
-	off, n, k int32
-}
-
 // load encodes every constraint of m into a fresh, unseeded solver. The
 // model's branching hints become initial state: priorities the initial
 // VSIDS activities (decided first, then adapted by learning), phase
@@ -126,12 +120,16 @@ type loaded struct {
 // Each constraint is rewritten to at-most form in model order (an
 // equality yields its <= half, then its >= half) and simplified against
 // the root facts derived so far; loading stops at the first root
-// conflict. The surviving clause and card literals are written into one
-// literal arena sized from the model, and the clause and card slabs,
-// watch lists and card occurrence lists are built once at the end,
-// exactly sized, in installation order. The result is the solver that
-// installing each constraint with addAtMost would give, at a constant
-// number of allocations.
+// conflict. Every surviving half is written once, in installation order,
+// into one literal arena sized from the model, which becomes the load
+// arena: a clause as its size and its literals, a card as a dead entry
+// (negated size) holding its bound and its literals, which the card slab
+// points into. The watch lists, counted while writing, and the card slab
+// and occurrence lists are then built once, exactly sized, in
+// installation order. The result is the solver that installing each
+// constraint with addAtMost would give (up to clause refs, which count
+// from the load arena instead of the learnt chunks), at a constant number
+// of allocations.
 func load(m *ilp.Model) (*solver, error) {
 	n := m.NumVars()
 	s := newSolver(n)
@@ -142,21 +140,21 @@ func load(m *ilp.Model) (*solver, error) {
 		s.phase[v] = m.PhaseHint(ilp.Var(v))
 	}
 
-	halves, arenaLen, maxTerms := 0, 0, 0
+	arenaLen, maxTerms := 0, 0
 	for i := range m.Constraints {
 		c := &m.Constraints[i]
 		h := 1
 		if c.Rel == ilp.EQ {
 			h = 2
 		}
-		halves += h
-		arenaLen += h * len(c.Terms)
+		// A half takes at most its terms plus two header words.
+		arenaLen += h * (len(c.Terms) + 2)
 		maxTerms = max(maxTerms, len(c.Terms))
 	}
 	z := newNormalizer(n, maxTerms)
 	arena := make([]lit, arenaLen)
-	installed := make([]loaded, 0, halves)
-	used := 0
+	count := make([]int32, 2*n) // watchers per literal
+	used, nCards := 0, 0
 
 load:
 	for i := range m.Constraints {
@@ -170,8 +168,9 @@ load:
 				return nil, fmt.Errorf("%s constraint %q: %w", m.Name, c.Name, err)
 			}
 			// Simplify against the root facts (see addAtMost): true
-			// literals use up the bound, false ones drop out.
-			out := arena[used:used]
+			// literals use up the bound, false ones drop out. The
+			// survivors are written where a clause's literals go.
+			out := arena[used+1 : used+1]
 			for _, l := range lits {
 				switch s.vals[l] {
 				case lTrue:
@@ -197,54 +196,50 @@ load:
 				for j, l := range out {
 					out[j] = l.neg()
 				}
-				k = -1
+				arena[used] = lit(len(out))
+				count[out[0]]++
+				count[out[1]]++
+				used += 1 + len(out)
+				s.nClauses++
+				continue
 			}
-			installed = append(installed, loaded{off: int32(used), n: int32(len(out)), k: int32(k)})
-			used += len(out)
-		}
-	}
-
-	nCards := 0
-	for _, r := range installed {
-		if r.k >= 0 {
+			// A card: its literals move up one word to make room for
+			// its bound.
+			copy(arena[used+2:], out)
+			arena[used], arena[used+1] = -lit(len(out)+1), lit(k)
+			used += 2 + len(out)
 			nCards++
 		}
 	}
-	s.ca = make([]clause, 0, len(installed)-nCards)
-	s.cards = make([]card, 0, nCards)
-	for _, r := range installed {
-		lits := arena[r.off : r.off+r.n : r.off+r.n]
-		if r.k < 0 {
-			s.ca = append(s.ca, clause{lits: lits})
-		} else {
-			s.cards = append(s.cards, card{lits: lits, k: r.k})
-		}
+	s.ca, s.lbase = arena[:used:used], int32(used)
+	if nCards > 0 {
+		s.cardLits = s.ca
 	}
-	s.nClauses = len(s.ca)
 
-	// Watch lists, counted per literal, carved from one backing array,
-	// then filled in installation order; card occurrence lists likewise.
-	count := make([]int32, 2*n)
-	for i := range s.ca {
-		count[s.ca[i].lits[0]]++
-		count[s.ca[i].lits[1]]++
-	}
-	wbuf := make([]watcher, 2*len(s.ca))
+	// Watch lists carved from one backing array, then filled in
+	// installation order; the card slab likewise.
+	wbuf := make([]watcher, 2*s.nClauses)
 	off := int32(0)
 	for l, c := range count {
 		s.watches[l] = wbuf[off : off : off+c]
 		off += c
 	}
-	for cr := range s.ca {
-		s.attach(int32(cr))
+	s.cards = make([]card, 0, nCards)
+	for cr := int32(0); cr < int32(used); {
+		h := int32(s.ca[cr])
+		if h > 0 {
+			s.attach(cr)
+			cr += 1 + h
+			continue
+		}
+		s.cards = append(s.cards, card{off: cr + 2, n: -h - 1, k: int32(s.ca[cr+1])})
+		cr += 1 - h
 	}
 	s.indexCards(0)
 	// Card counters: root facts derived after a card was installed may
 	// already make some of its literals true.
 	for _, p := range s.trail {
-		for _, ci := range s.cardsOf(p) {
-			s.cards[ci].count++
-		}
+		s.countCards(p, 1)
 	}
 	return s, nil
 }
@@ -276,26 +271,17 @@ func (s *solver) applySeed(seed int64) {
 }
 
 // clone copies a solver that load returned and nothing has searched or
-// seeded yet. The copy owns every piece of state the search mutates;
-// card literals and card occurrence lists, which stay read-only after
-// loading (indexCards replaces the lists rather than writing them), are
-// shared with the original.
+// seeded yet, so it has no learnt chunks. The copy owns every piece of
+// state the search mutates; the card literal arena and card occurrence
+// lists, which stay read-only after loading (addAtMost appends past
+// their length, indexCards replaces the lists), are shared with the
+// original.
 func (s *solver) clone() *solver {
 	c := *s
-	c.ca = make([]clause, len(s.ca), cap(s.ca))
-	litLen := 0
-	for i := range s.ca {
-		litLen += len(s.ca[i].lits)
-	}
-	arena := make([]lit, 0, litLen)
-	for i := range s.ca {
-		off := len(arena)
-		arena = append(arena, s.ca[i].lits...)
-		c.ca[i] = clause{lits: arena[off:len(arena):len(arena)]}
-	}
+	c.ca = slices.Clone(s.ca)
 	c.cards = slices.Clone(s.cards)
 	c.watches = make([][]watcher, len(s.watches))
-	wbuf := make([]watcher, 2*len(s.ca))
+	wbuf := make([]watcher, 2*s.nClauses)
 	off := 0
 	for l, ws := range s.watches {
 		c.watches[l] = wbuf[off : off+len(ws) : off+len(ws)]

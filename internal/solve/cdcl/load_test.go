@@ -140,22 +140,52 @@ func loadModel(seed int64) *ilp.Model {
 	return m
 }
 
+// clauseRefs lists a solver's live clauses in arena order, the load
+// arena's before the learnt chunks', and numbers them by ref.
+func clauseRefs(s *solver) (refs []int32, num map[int32]int32) {
+	num = map[int32]int32{}
+	walk := func(a []lit, base int32) {
+		for o := int32(0); o < int32(len(a)); {
+			h := int32(a[o])
+			if h > 0 {
+				num[base+o] = int32(len(refs))
+				refs = append(refs, base+o)
+			}
+			o += 1 + max(h, -h)
+		}
+	}
+	walk(s.ca, 0)
+	for i, c := range s.lca {
+		walk(c, s.lbase+int32(i<<s.chunkBits))
+	}
+	return refs, num
+}
+
 // diffSolvers returns the first difference between two solvers' loaded
 // state, or "" when they agree field by field. Nil and empty lists are
-// equal.
+// equal. Clauses are compared in arena order, and learnts and watchers
+// by the number of the clause they refer to, so arena offsets may
+// differ.
 func diffSolvers(got, want *solver) string {
 	if got.ok != want.ok || got.nClauses != want.nClauses || got.qhead != want.qhead ||
 		got.varInc != want.varInc || got.claInc != want.claInc {
 		return fmt.Sprintf("scalars: ok %v/%v clauses %d/%d qhead %d/%d",
 			got.ok, want.ok, got.nClauses, want.nClauses, got.qhead, want.qhead)
 	}
-	if len(got.ca) != len(want.ca) || len(got.learnts) != len(want.learnts) {
-		return fmt.Sprintf("clause slab %d/%d learnts %d/%d", len(got.ca), len(want.ca), len(got.learnts), len(want.learnts))
+	gref, gnum := clauseRefs(got)
+	wref, wnum := clauseRefs(want)
+	if len(gref) != len(wref) || len(got.learnts) != len(want.learnts) {
+		return fmt.Sprintf("clause slab %d/%d learnts %d/%d", len(gref), len(wref), len(got.learnts), len(want.learnts))
 	}
-	for i := range got.ca {
-		g, w := got.ca[i], want.ca[i]
-		if !slices.Equal(g.lits, w.lits) || g.act != w.act {
+	for i := range gref {
+		if g, w := got.lits(gref[i]), want.lits(wref[i]); !slices.Equal(g, w) {
 			return fmt.Sprintf("clause %d: %v vs %v", i, g, w)
+		}
+	}
+	for i := range got.learnts {
+		g, w := got.learnts[i], want.learnts[i]
+		if gnum[g.cr] != wnum[w.cr] || g.act != w.act {
+			return fmt.Sprintf("learnt %d: %v vs %v", i, g, w)
 		}
 	}
 	if len(got.cards) != len(want.cards) {
@@ -163,13 +193,24 @@ func diffSolvers(got, want *solver) string {
 	}
 	for i := range got.cards {
 		g, w := got.cards[i], want.cards[i]
-		if !slices.Equal(g.lits, w.lits) || g.k != w.k || g.count != w.count {
+		if !slices.Equal(got.cardLitsOf(int32(i)), want.cardLitsOf(int32(i))) || g.k != w.k || g.count != w.count {
 			return fmt.Sprintf("card %d: %v vs %v", i, g, w)
 		}
 	}
+	watchList := func(s *solver, num map[int32]int32, l int) []watcher {
+		var ws []watcher
+		for _, w := range s.watches[l] {
+			n := num[max(w.c, ^w.c)]
+			if w.c < 0 {
+				n = ^n
+			}
+			ws = append(ws, watcher{n, w.blocker})
+		}
+		return ws
+	}
 	for l := range got.watches {
-		if !slices.Equal(got.watches[l], want.watches[l]) {
-			return fmt.Sprintf("watches[%d]: %v vs %v", l, got.watches[l], want.watches[l])
+		if g, w := watchList(got, gnum, l), watchList(want, wnum, l); !slices.Equal(g, w) {
+			return fmt.Sprintf("watches[%d]: %v vs %v", l, g, w)
 		}
 		if !slices.Equal(got.cardsOf(lit(l)), want.cardsOf(lit(l))) {
 			return fmt.Sprintf("cards of %d: %v vs %v", l, got.cardsOf(lit(l)), want.cardsOf(lit(l)))
@@ -221,7 +262,7 @@ func TestLoadMatchesReference(t *testing.T) {
 			} else {
 				kinds["loaded"]++
 			}
-			if len(got.trail) > 0 && len(got.cards) > 0 && len(got.ca) > 0 {
+			if len(got.trail) > 0 && len(got.cards) > 0 && got.nClauses > 0 {
 				kinds["facts, clauses and cards"]++
 			}
 			for _, c := range got.cards {

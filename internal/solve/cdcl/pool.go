@@ -111,7 +111,7 @@ func (s *solver) importLearnt(in []lit) bool {
 	if !s.ok {
 		return false
 	}
-	lits := make([]lit, 0, len(in))
+	lits := s.minBuf[:0]
 	for _, l := range in {
 		switch s.value(l) {
 		case lTrue:
@@ -121,6 +121,7 @@ func (s *solver) importLearnt(in []lit) bool {
 		}
 		lits = append(lits, l)
 	}
+	s.minBuf = lits
 	switch len(lits) {
 	case 0:
 		s.ok = false
@@ -128,9 +129,6 @@ func (s *solver) importLearnt(in []lit) bool {
 	case 1:
 		return s.addFact(lits[0])
 	}
-	cr := s.newClause(lits)
-	s.learnts = append(s.learnts, cr)
-	s.attach(cr)
-	s.bumpClause(cr)
+	s.addLearnt(lits)
 	return true
 }
