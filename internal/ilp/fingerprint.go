@@ -33,21 +33,22 @@ func (m *Model) Fingerprint() string {
 		}
 	}
 	hashInt(h, len(m.Constraints))
-	for _, c := range m.Constraints {
-		io.WriteString(h, c.Name)
+	for i, c := range m.Constraints {
+		io.WriteString(h, m.ConstraintName(i))
 		h.Write([]byte{0})
 		hashInt(h, int(c.Rel))
-		hashInt(h, c.RHS)
-		hashInt(h, len(c.Terms))
-		for _, t := range c.Terms {
+		hashInt(h, int(c.RHS))
+		terms := m.Terms(i)
+		hashInt(h, len(terms))
+		for _, t := range terms {
 			hashInt(h, int(t.Var))
-			hashInt(h, t.Coef)
+			hashInt(h, int(t.Coef))
 		}
 	}
 	hashInt(h, len(m.Objective))
 	for _, t := range m.Objective {
 		hashInt(h, int(t.Var))
-		hashInt(h, t.Coef)
+		hashInt(h, int(t.Coef))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -345,7 +345,7 @@ func TestColdStampReservation(t *testing.T) {
 		m := f.model
 		got := modelSize{vars: m.NumVars(), cons: len(m.Constraints)}
 		for i := range m.Constraints {
-			got.terms += len(m.Constraints[i].Terms)
+			got.terms += len(m.Terms(i))
 		}
 		r := f.reserved
 		under := r.vars < got.vars || r.cons < got.cons || r.terms < got.terms

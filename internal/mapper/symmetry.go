@@ -231,7 +231,7 @@ type lexPosition struct {
 	x, y ilp.Var
 	// op/node identify the slot for stable aux-variable naming.
 	op   string
-	node string
+	node int
 }
 
 // lexPositions builds the canonical placement vector for one lifted
@@ -241,7 +241,7 @@ type lexPosition struct {
 // removing always-equal positions preserves the lexicographic relation
 // exactly. The list is truncated to maxLexPositions.
 func (s *stamper) lexPositions(lift []int) []lexPosition {
-	f, mg := s.f, s.mg
+	f := s.f
 	var pos []lexPosition
 	for _, op := range s.t.g.Ops() {
 		for _, p := range s.legal[op.ID] {
@@ -253,7 +253,7 @@ func (s *stamper) lexPositions(lift []int) []lexPosition {
 				x:    f.fvar[op.ID][p],
 				y:    f.fvar[op.ID][img],
 				op:   op.Name,
-				node: mg.Nodes[p].Name,
+				node: p,
 			})
 			if len(pos) == maxLexPositions {
 				return pos
@@ -269,7 +269,7 @@ func (s *stamper) lexPositions(lift []int) []lexPosition {
 // and the swap symmetry makes reachability refinement agree); if they
 // ever diverge the pair is skipped rather than mis-aligned.
 func (s *stamper) addValueSwap(a, b int) {
-	f, mg := s.f, s.mg
+	f := s.f
 	la, lb := s.legal[a], s.legal[b]
 	if len(la) != len(lb) {
 		return
@@ -287,7 +287,7 @@ func (s *stamper) addValueSwap(a, b int) {
 			x:    f.fvar[a][p],
 			y:    f.fvar[b][p],
 			op:   opA.Name + "+" + opB.Name,
-			node: mg.Nodes[p].Name,
+			node: p,
 		})
 		if len(pos) == maxLexPositions {
 			break
@@ -326,7 +326,7 @@ func (s *stamper) addLexChain(group, gen string, pos []lexPosition) {
 	var prev ilp.Var
 	for i := 0; i+1 < len(pos); i++ {
 		x, y := pos[i].x, pos[i].y
-		e := f.model.BinaryComposite("SE", gen+"/"+pos[i].op, pos[i].node, -1)
+		e := f.model.BinaryParts(s.partSE, f.model.NameParts(gen+"/"+pos[i].op), s.nodeParts+int32(pos[i].node), -1)
 		if i == 0 {
 			// e_0 <-> (x_0 == y_0).
 			clause(ilp.Term{Var: e, Coef: -1}, ilp.Term{Var: x, Coef: -1}, ilp.Term{Var: y, Coef: 1})

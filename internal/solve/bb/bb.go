@@ -82,10 +82,9 @@ func (st *searchState) relax() (*lp.Solution, error) {
 	for _, t := range st.m.Objective {
 		p.Obj[t.Var] += float64(t.Coef)
 	}
-	for i := range st.m.Constraints {
-		c := &st.m.Constraints[i]
+	for i, c := range st.m.Constraints {
 		coefs := make([]float64, n)
-		for _, t := range c.Terms {
+		for _, t := range st.m.Terms(i) {
 			coefs[t.Var] += float64(t.Coef)
 		}
 		var rel lp.Rel

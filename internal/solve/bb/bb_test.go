@@ -133,7 +133,7 @@ func randomModel(seed int64) *ilp.Model {
 				continue
 			}
 			used[v] = true
-			coef := rng.Intn(7) - 3
+			coef := int32(rng.Intn(7) - 3)
 			if coef == 0 {
 				coef = 1
 			}
@@ -146,7 +146,7 @@ func randomModel(seed int64) *ilp.Model {
 	if rng.Intn(2) == 0 {
 		for _, v := range vars {
 			if rng.Intn(3) != 0 {
-				coef := rng.Intn(9) - 4
+				coef := int32(rng.Intn(9) - 4)
 				if coef == 0 {
 					coef = 2
 				}
@@ -209,7 +209,7 @@ func TestEnginesAgree(t *testing.T) {
 					continue
 				}
 				used[v] = true
-				coef := 1
+				coef := int32(1)
 				if rng.Intn(3) == 0 {
 					coef = -1
 				}

@@ -16,7 +16,7 @@ import (
 func refNormalizeLE(terms []ilp.Term, rhs int, flip bool) ([]lit, int, error) {
 	merged := make(map[ilp.Var]int, len(terms))
 	for _, t := range terms {
-		c := t.Coef
+		c := int(t.Coef)
 		if flip {
 			c = -c
 		}
@@ -76,15 +76,14 @@ func refCompile(m *ilp.Model, seed int64) (*solver, error) {
 			s.heap.down(i)
 		}
 	}
-	for i := range m.Constraints {
-		c := &m.Constraints[i]
+	for i, c := range m.Constraints {
 		for _, flip := range [2]bool{false, true} {
 			if !flip && c.Rel == ilp.GE || flip && c.Rel == ilp.LE {
 				continue
 			}
-			lits, k, err := refNormalizeLE(c.Terms, c.RHS, flip)
+			lits, k, err := refNormalizeLE(m.Terms(i), int(c.RHS), flip)
 			if err != nil {
-				return nil, fmt.Errorf("%s constraint %q: %w", m.Name, c.Name, err)
+				return nil, fmt.Errorf("%s constraint %q: %w", m.Name, m.ConstraintName(i), err)
 			}
 			if !s.addAtMost(lits, k) {
 				return s, nil
@@ -109,7 +108,7 @@ func loadModel(seed int64) *ilp.Model {
 		size := 1 + rng.Intn(min(6, n))
 		var terms []ilp.Term
 		for _, v := range rng.Perm(n)[:size] {
-			coef := 1
+			coef := int32(1)
 			if rng.Intn(3) == 0 {
 				coef = -1
 			}
@@ -379,7 +378,7 @@ func TestNonUnitErrorDeterministic(t *testing.T) {
 	obj := ilp.NewModel("badobj")
 	for i := 0; i < 4; i++ {
 		v := obj.Binary(fmt.Sprintf("y%d", i))
-		obj.Objective = append(obj.Objective, ilp.Term{Var: v, Coef: 2 + i})
+		obj.Objective = append(obj.Objective, ilp.Term{Var: v, Coef: int32(2 + i)})
 	}
 	const wantObj = "cdcl: objective coefficient 2 not supported (unit coefficients only)"
 
