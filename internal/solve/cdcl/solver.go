@@ -86,6 +86,9 @@ type solver struct {
 	// watches[l] lists clauses watching literal l, inspected when l
 	// becomes false.
 	watches [][]watcher
+	// spare[k] holds watch arrays of capacity at least 1<<k that lists
+	// have outgrown, for the next list that grows to that capacity.
+	spare [32][][]watcher
 	// occ[occStart[l]:occStart[l+1]] lists the cards containing literal
 	// l, in installation order (see cardsOf); inCard[l] reports whether
 	// that list is non-empty.
@@ -253,9 +256,15 @@ func (s *solver) newClause(lits []lit) int32 {
 }
 
 // addLearnt stores, attaches and bumps a learnt clause of at least two
-// literals and returns its ref.
+// literals and returns its ref. The first learnt clause sizes the list
+// for maxLearnts entries, past which a restart halves it: grown by
+// append, a list of that size leaves about four times its own bytes
+// behind as garbage (appends past 256 entries grow it by a quarter).
 func (s *solver) addLearnt(lits []lit) int32 {
 	cr := s.newClause(lits)
+	if s.learnts == nil {
+		s.learnts = make([]learnt, 0, s.maxLearnts)
+	}
 	s.learnts = append(s.learnts, learnt{cr: cr})
 	s.attach(cr)
 	s.bumpLearnt()
@@ -355,8 +364,41 @@ func (s *solver) attach(cr int32) {
 	if len(lits) == 2 {
 		ref = ^cr
 	}
-	s.watches[lits[0]] = append(s.watches[lits[0]], watcher{ref, lits[1]})
-	s.watches[lits[1]] = append(s.watches[lits[1]], watcher{ref, lits[0]})
+	s.watch(lits[0], watcher{ref, lits[1]})
+	s.watch(lits[1], watcher{ref, lits[0]})
+}
+
+// watch appends w to literal l's watch list.
+func (s *solver) watch(l lit, w watcher) {
+	ws := s.watches[l]
+	if len(ws) == cap(ws) {
+		ws = s.regrow(ws)
+	}
+	s.watches[l] = append(ws, w)
+}
+
+// regrow moves a full watch list to an array of the next power-of-two
+// capacity, taken from the spares when one is there, and leaves the
+// list's own array among the spares. Watchers move between lists all
+// search long, so a list outgrows its array again and again; recycling
+// the arrays keeps that churn from becoming garbage. An array of fewer
+// than 4 watchers (only the load slab has them) is not kept: it is
+// smaller than the slice header that would keep it.
+func (s *solver) regrow(ws []watcher) []watcher {
+	k := bits.Len(uint(max(cap(ws), 2))) // 1<<k > cap(ws), at least 4
+	var grown []watcher
+	if n := len(s.spare[k]); n > 0 {
+		grown = s.spare[k][n-1][:len(ws)]
+		s.spare[k] = s.spare[k][:n-1]
+	} else {
+		grown = make([]watcher, len(ws), 1<<k)
+	}
+	copy(grown, ws)
+	if c := cap(ws); c >= 4 {
+		j := bits.Len(uint(c)) - 1 // 1<<j <= cap(ws)
+		s.spare[j] = append(s.spare[j], ws[:0])
+	}
+	return grown
 }
 
 // conflictRef identifies the constraint a conflict arose from: a clause
@@ -428,7 +470,7 @@ func (s *solver) propagate() conflictRef {
 			for k := 2; k < len(lits); k++ {
 				if vals[lits[k]] != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
-					s.watches[lits[1]] = append(s.watches[lits[1]], watcher{cr, first})
+					s.watch(lits[1], watcher{cr, first})
 					found = true
 					break
 				}
