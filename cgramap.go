@@ -237,15 +237,16 @@ func DefaultInputs(g *DFG, seed uint32) map[string]uint32 { return sim.DefaultIn
 
 // MinII returns the modulo-scheduling lower bound max(ResMII, RecMII) for
 // mapping g onto the architecture: the smallest context count that could
-// possibly work (paper §3.2's modulo framing).
+// possibly work (paper §3.2's modulo framing). It is an error for an
+// invalid architecture, and when the bound is unavailable (an FU with
+// II > 1).
 func MinII(g *DFG, a *Arch) (int, error) {
 	single := *a
 	single.Contexts = 1
-	mg, err := mrrg.Generate(&single)
-	if err != nil {
+	if err := single.Validate(); err != nil {
 		return 0, err
 	}
-	return sched.MII(g, mg)
+	return sched.ArchMII(g, &single)
 }
 
 // AutoResult reports a MapAuto search.

@@ -27,15 +27,16 @@ func (a *Arch) Fingerprint() string {
 	h.Write([]byte("cgramap/arch/v1\n"))
 	fpInt(h, a.Contexts)
 	fpInt(h, len(a.Prims))
+	var ops []int // one sort buffer serves every primitive
 	for _, p := range a.Prims {
 		fpInt(h, int(p.Kind))
 		fpInt(h, p.NIn)
 		fpInt(h, p.Latency)
 		fpInt(h, p.II)
 		fpInt(h, p.Cost)
-		ops := make([]int, len(p.Ops))
-		for i, op := range p.Ops {
-			ops[i] = int(op)
+		ops = ops[:0]
+		for _, op := range p.Ops {
+			ops = append(ops, int(op))
 		}
 		sort.Ints(ops)
 		fpInt(h, len(ops))

@@ -64,14 +64,14 @@ func TestAllocationBounds(t *testing.T) {
 		run  func(t *testing.T)
 		max  float64
 	}{
-		{"formulate/2x2-f", build("2x2-f", Options{}), 3136},
-		{"formulate/accum", build("accum", Options{}), 3278},
-		{"formulate/extreme", build("extreme", Options{}), 3643},
-		{"formulate/template", build("accum", Options{Artifacts: NewArtifactCache(4)}), 482},
-		{"mapauto/scratch", ladder("mult_10", hetero, Options{Symmetry: SymmetryOff}), 25983},
-		{"mapauto/sym", ladder("mac", homo3, Options{Symmetry: SymmetryOn}), 37071},
-		{"mapauto/nosym", ladder("mac", homo3, Options{Symmetry: SymmetryOff}), 33497},
-		{"mapauto/cached", ladder("mult_10", hetero, Options{Symmetry: SymmetryOff, Artifacts: NewArtifactCache(8)}), 19343},
+		{"formulate/2x2-f", build("2x2-f", Options{}), 172},
+		{"formulate/accum", build("accum", Options{}), 183},
+		{"formulate/extreme", build("extreme", Options{}), 261},
+		{"formulate/template", build("accum", Options{Artifacts: NewArtifactCache(4)}), 102},
+		{"mapauto/scratch", ladder("mult_10", hetero, Options{Symmetry: SymmetryOff}), 16492},
+		{"mapauto/sym", ladder("mac", homo3, Options{Symmetry: SymmetryOn}), 18960},
+		{"mapauto/nosym", ladder("mac", homo3, Options{Symmetry: SymmetryOff}), 15887},
+		{"mapauto/cached", ladder("mult_10", hetero, Options{Symmetry: SymmetryOff, Artifacts: NewArtifactCache(8)}), 12783},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := testing.AllocsPerRun(1, func() { tc.run(t) })

@@ -3,7 +3,6 @@ package mapper
 import (
 	"crypto/sha256"
 	"fmt"
-	"io"
 
 	"cgramap/internal/arch"
 	"cgramap/internal/dfg"
@@ -83,17 +82,15 @@ func (c *ArtifactCache) MRRG(a *arch.Arch) (*mrrg.Graph, error) {
 func templateKey(g *dfg.Graph, a *arch.Arch, opts Options) string {
 	single := *a
 	single.Contexts = 1
-	names := sha256.New()
-	io.WriteString(names, g.Name)
+	names := []byte(g.Name)
 	for _, op := range g.Ops() {
-		names.Write([]byte{0})
-		io.WriteString(names, op.Name)
+		names = append(append(names, 0), op.Name...)
 	}
 	for _, v := range g.Vals() {
-		names.Write([]byte{0})
-		io.WriteString(names, v.Name)
+		names = append(append(names, 0), v.Name...)
 	}
-	return fmt.Sprintf("%s/%x/%s/o%d-p%t-s%t-y%t", g.Fingerprint(), names.Sum(nil), single.Fingerprint(),
+	sum := sha256.Sum256(names)
+	return fmt.Sprintf("%s/%x/%s/o%d-p%t-s%t-y%t", g.Fingerprint(), sum[:], single.Fingerprint(),
 		opts.Objective, opts.DisablePruning, opts.DisablePresolve, opts.Symmetry == SymmetryOn)
 }
 

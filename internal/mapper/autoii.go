@@ -57,18 +57,13 @@ func MapAuto(ctx context.Context, g *dfg.Graph, a *arch.Arch, maxII int, opts Op
 	}
 	if opts.Artifacts == nil {
 		// Even without a caller-provided cache, the ladder itself is a
-		// reuse opportunity: one template serves every II, and the
-		// MII-probe MRRG below is shared with the template's own MII
-		// bound. The ephemeral cache dies with the sweep.
+		// reuse opportunity: one template serves every II. The
+		// ephemeral cache dies with the sweep.
 		opts.Artifacts = NewArtifactCache(maxII + 2)
 	}
 	start := 1
-	single := *a
-	single.Contexts = 1
-	if mg1, err := opts.Artifacts.MRRG(&single); err == nil {
-		if mii, err := sched.MII(g, mg1); err == nil {
-			start = mii
-		}
+	if mii, err := sched.ArchMII(g, a); err == nil {
+		start = mii
 	}
 	if start > maxII {
 		return &AutoResult{

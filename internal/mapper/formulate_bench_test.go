@@ -84,3 +84,24 @@ func BenchmarkWriteLP(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkNewTemplate times building each case's template from
+// scratch (the II-independent analysis, MII bound included), with its
+// allocations.
+func BenchmarkNewTemplate(b *testing.B) {
+	for _, c := range formulationCases {
+		a, err := arch.Grid(c.fabric)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := bench.MustGet(c.kernel)
+		b.Run(c.kernel+"/"+c.fabric.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewTemplate(g, a, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

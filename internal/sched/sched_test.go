@@ -11,16 +11,22 @@ import (
 
 func singleCtxMRRG(t *testing.T, spec arch.GridSpec) *mrrg.Graph {
 	t.Helper()
+	mg, err := mrrg.Generate(grid(t, spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mg
+}
+
+// grid builds the single-context architecture of a grid spec.
+func grid(t *testing.T, spec arch.GridSpec) *arch.Arch {
+	t.Helper()
 	spec.Contexts = 1
 	a, err := arch.Grid(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg, err := mrrg.Generate(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mg
+	return a
 }
 
 func TestLevelsChain(t *testing.T) {
@@ -82,8 +88,8 @@ func TestLevelsRejectCycles(t *testing.T) {
 }
 
 func TestResMIIMultipliers(t *testing.T) {
-	hetero := singleCtxMRRG(t, arch.GridSpec{Rows: 4, Cols: 4})
-	homo := singleCtxMRRG(t, arch.GridSpec{Rows: 4, Cols: 4, Homogeneous: true})
+	hetero := grid(t, arch.GridSpec{Rows: 4, Cols: 4})
+	homo := grid(t, arch.GridSpec{Rows: 4, Cols: 4, Homogeneous: true})
 
 	// mult_16: 15 multiplies. Hetero has 8 multiplier slots -> ResMII
 	// 2; homo has 16 -> ResMII 1.
@@ -101,19 +107,18 @@ func TestResMIIMultipliers(t *testing.T) {
 }
 
 func TestResMIIUnsupported(t *testing.T) {
-	mg := singleCtxMRRG(t, arch.GridSpec{Rows: 2, Cols: 2})
 	g := dfg.New("d")
 	x := g.In("x")
 	op, _ := g.AddOp("q", dfg.Div, x, x)
 	g.Out("o", op.Out)
-	if _, err := ResMII(g, mg); err == nil {
+	if _, err := ResMII(g, grid(t, arch.GridSpec{Rows: 2, Cols: 2})); err == nil {
 		t.Error("unsupported kind accepted")
 	}
 	// Multi-context MRRG rejected.
 	spec := arch.GridSpec{Rows: 2, Cols: 2, Contexts: 2}
 	a, _ := arch.Grid(spec)
 	mg2, _ := mrrg.Generate(a)
-	if _, err := ResMII(bench.MustGet("accum"), mg2); err == nil {
+	if _, err := MII(bench.MustGet("accum"), mg2); err == nil {
 		t.Error("multi-context MRRG accepted")
 	}
 }
